@@ -15,7 +15,7 @@
 //                [--log-level LEVEL] [--log-out FILE]
 //
 // --distance-engine picks the Phase 3 shortest-distance backend: plain
-// Dijkstra, ALT (landmark A*, implies --landmarks), or a contraction
+// Dijkstra, ALT (landmark A*: Dijkstra plus --landmarks), or a contraction
 // hierarchy with memoized upward labels (fastest; exact in all cases).
 //
 // --columnar treats --trajectories as a binary columnar file (written by
@@ -151,8 +151,11 @@ CliOptions parse_args(int argc, char** argv) {
       } else if (arg == "--distance-engine") {
         const std::string v = next_value(i);
         if (v == "dijkstra") opt.config.refine.distance_engine = DistanceEngine::kDijkstra;
-        else if (v == "alt") opt.config.refine.distance_engine = DistanceEngine::kAlt;
-        else if (v == "ch") opt.config.refine.distance_engine = DistanceEngine::kCh;
+        else if (v == "alt") {
+          // ALT is Dijkstra steered by the landmark tables.
+          opt.config.refine.distance_engine = DistanceEngine::kDijkstra;
+          opt.config.refine.use_landmarks = true;
+        } else if (v == "ch") opt.config.refine.distance_engine = DistanceEngine::kCh;
         else if (v == "ch-table") opt.config.refine.distance_engine = DistanceEngine::kChTable;
         else usage(str_cat("unknown distance engine '", v, "' (dijkstra|alt|ch|ch-table)"));
       } else if (arg == "--metrics-out") {

@@ -62,6 +62,7 @@ struct SimOptions {
   std::string log_out;       ///< JSON log lines file ("" = stderr).
   obs::log::Level log_level{obs::log::Level::kInfo};
   DistanceEngine engine{DistanceEngine::kDijkstra};
+  bool landmarks{false};  ///< Landmark pruning and A* steering (engine "alt").
 };
 
 [[noreturn]] void usage(const std::string& error) {
@@ -139,8 +140,11 @@ SimOptions parse_args(int argc, char** argv) {
       } else if (arg == "--distance-engine") {
         const std::string v = next_value(i);
         if (v == "dijkstra") opt.engine = DistanceEngine::kDijkstra;
-        else if (v == "alt") opt.engine = DistanceEngine::kAlt;
-        else if (v == "ch") opt.engine = DistanceEngine::kCh;
+        else if (v == "alt") {
+          // ALT is Dijkstra steered by the landmark tables.
+          opt.engine = DistanceEngine::kDijkstra;
+          opt.landmarks = true;
+        } else if (v == "ch") opt.engine = DistanceEngine::kCh;
         else if (v == "ch-table") opt.engine = DistanceEngine::kChTable;
         else usage(str_cat("unknown distance engine '", v, "' (dijkstra|alt|ch|ch-table)"));
       } else {
@@ -180,6 +184,7 @@ int main(int argc, char** argv) {
   Config cfg;
   cfg.refine.epsilon = 2000.0;
   cfg.refine.distance_engine = opt.engine;
+  cfg.refine.use_landmarks = opt.landmarks;
   cfg.phase1_threads = 2;
   serve::SnapshotStore store;
   serve::Metrics metrics(&obs::Registry::global());

@@ -1,7 +1,6 @@
 #include "core/clusterer.h"
 
 #include "common/stopwatch.h"
-#include "core/parallel_refiner.h"
 #include "obs/log/log.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
@@ -30,20 +29,12 @@ NeatClusterer::NeatClusterer(const roadnet::RoadNetwork& net, Config config)
 }
 
 Result NeatClusterer::run(const traj::TrajectoryDataset& data) const {
-  return run_impl(data.size(), [&](const Fragmenter& fragmenter) {
-    return fragmenter.build_base_clusters(data, config_.phase1_threads);
-  });
+  DatasetSource source(data);
+  return run(source, {data.size()});
 }
 
 Result NeatClusterer::run(TrajectorySource& source, const StreamingPhase1Options& options) const {
-  return run_impl(source.size(), [&](const Fragmenter& fragmenter) {
-    return fragmenter.build_base_clusters(source, config_.phase1_threads, options);
-  });
-}
-
-Result NeatClusterer::run_impl(
-    std::size_t num_trajectories,
-    const std::function<Phase1Output(const Fragmenter&)>& phase1) const {
+  const std::size_t num_trajectories = source.size();
   obs::ScopedSpan run_span("neat.run");
   run_span.arg("trajectories", static_cast<std::uint64_t>(num_trajectories));
   Result result;
@@ -54,8 +45,8 @@ Result NeatClusterer::run_impl(
       .kv("trajectories", num_trajectories);
   {
     obs::ScopedSpan span("neat.phase1");
-    const Fragmenter fragmenter(net_);
-    Phase1Output p1 = phase1(fragmenter);
+    Phase1Output p1 =
+        Fragmenter(net_).build_base_clusters(source, config_.phase1_threads, options);
     result.base_clusters = std::move(p1.base_clusters);
     result.num_fragments = p1.num_fragments;
     result.num_gap_repairs = p1.num_gap_repairs;
@@ -94,14 +85,14 @@ Result NeatClusterer::run_impl(
       .kv("duration_ms", result.timing.phase2_s * 1e3);
   if (config_.mode == Mode::kFlow) return result;
 
-  // Phase 3: flow cluster refinement (parallel across RefineConfig::threads;
-  // output is bit-identical to the serial refiner).
+  // Phase 3: flow cluster refinement (pair distances across
+  // RefineConfig::threads; output is bit-identical at any thread count).
   watch.restart();
   NEAT_LOG(kDebug, "core").msg("phase 3 starting")
       .kv("flows", result.flow_clusters.size());
   {
     obs::ScopedSpan span("neat.phase3");
-    const ParallelRefiner refiner(net_, config_.refine);
+    const Refiner refiner(net_, config_.refine);
     Phase3Output p3 = refiner.refine(result.flow_clusters);
     result.final_clusters = std::move(p3.clusters);
     result.sp_computations = p3.sp_computations;

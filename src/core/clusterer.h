@@ -11,8 +11,6 @@
 // wall-clock timings and the Phase 3 shortest-path instrumentation.
 #pragma once
 
-#include <functional>
-
 #include "core/base_cluster.h"
 #include "core/flow_builder.h"
 #include "core/fragmenter.h"
@@ -76,25 +74,22 @@ class NeatClusterer {
   /// validated eagerly (throws neat::PreconditionError).
   NeatClusterer(const roadnet::RoadNetwork& net, Config config);
 
-  /// Clusters a dataset. Deterministic: identical inputs yield identical
-  /// results (the paper's design guarantee from the dense-core start order
-  /// and the longest-route-first refinement order).
+  /// Clusters a dataset: run() over a DatasetSource in one Phase 1 batch.
+  /// Deterministic: identical inputs yield identical results (the paper's
+  /// design guarantee from the dense-core start order and the
+  /// longest-route-first refinement order).
   [[nodiscard]] Result run(const traj::TrajectoryDataset& data) const;
 
-  /// Out-of-core variant: Phase 1 streams `source` in bounded-memory
-  /// batches (see Fragmenter); Phases 2-3 run on the merged base clusters.
-  /// Results are bit-identical to run() on the materialized dataset.
+  /// Clusters the trajectories of `source`. Phase 1 walks it in batches of
+  /// `options.batch_size` (bounded memory; each batch may equally be one
+  /// data node's shard, see Fragmenter); Phases 2-3 run on the merged base
+  /// clusters. Results are bit-identical at any batch size.
   [[nodiscard]] Result run(TrajectorySource& source,
                            const StreamingPhase1Options& options = {}) const;
 
   [[nodiscard]] const Config& config() const { return config_; }
 
  private:
-  /// Shared run body: `phase1` produces the Phase 1 output inside the
-  /// neat.phase1 span; Phases 2-3 follow per `config_`.
-  [[nodiscard]] Result run_impl(std::size_t num_trajectories,
-                                const std::function<Phase1Output(const Fragmenter&)>& phase1) const;
-
   const roadnet::RoadNetwork& net_;
   Config config_;
 };

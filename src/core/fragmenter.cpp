@@ -4,12 +4,12 @@
 #include <atomic>
 #include <limits>
 #include <optional>
-#include <thread>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "common/error.h"
 #include "common/string_util.h"
-#include "core/distributed.h"
+#include "core/workers.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
 #include "roadnet/shortest_path.h"
@@ -216,11 +216,19 @@ void walk(const RoadNetwork& net, const traj::Trajectory& tr,
   if (fragments != nullptr) fragments->push_back(cur);
 }
 
+/// Orders finalized base clusters by (density desc, sid asc): index 0 is the
+/// dense-core.
+void sort_by_density(std::vector<BaseCluster>& clusters) {
+  std::sort(clusters.begin(), clusters.end(), [](const BaseCluster& a, const BaseCluster& b) {
+    if (a.density() != b.density()) return a.density() > b.density();
+    return a.sid() < b.sid();
+  });
+}
+
 /// Phase 1 step 2: groups fragments (iterated in dataset order) into
 /// finalized base clusters sorted by (density desc, sid asc), accumulating
-/// the fragment count into `out`. Shared by the in-memory and streaming
-/// builds — per-batch grouping followed by the exact merge reproduces this
-/// function applied to the whole dataset.
+/// the fragment count into `out`. Per-batch grouping followed by the exact
+/// merge reproduces this function applied to the whole dataset.
 void group_and_sort(const std::vector<std::vector<TFragment>>& per_trajectory,
                     std::size_t segment_count, Phase1Output& out) {
   std::vector<std::int32_t> cluster_of(segment_count, -1);
@@ -237,11 +245,7 @@ void group_and_sort(const std::vector<std::vector<TFragment>>& per_trajectory,
     }
   }
   for (BaseCluster& c : clusters) c.finalize();
-
-  std::sort(clusters.begin(), clusters.end(), [](const BaseCluster& a, const BaseCluster& b) {
-    if (a.density() != b.density()) return a.density() > b.density();
-    return a.sid() < b.sid();
-  });
+  sort_by_density(clusters);
   out.base_clusters = std::move(clusters);
 }
 
@@ -276,44 +280,8 @@ traj::Trajectory Fragmenter::augmented(const traj::Trajectory& tr) const {
 
 Phase1Output Fragmenter::build_base_clusters(const traj::TrajectoryDataset& data,
                                              unsigned n_threads) const {
-  obs::ScopedSpan span("phase1.build_base_clusters");
-  Phase1Output out;
-
-  // Fragment extraction, optionally parallel over trajectories. Results are
-  // stored per trajectory index and merged in dataset order, so the output
-  // is identical regardless of the thread count.
-  std::vector<std::vector<TFragment>> per_trajectory(data.size());
-  const unsigned workers =
-      std::min<unsigned>(std::max(1u, n_threads), std::max<std::size_t>(1, data.size()));
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < data.size(); ++i) {
-      per_trajectory[i] = fragment(data[i], &out.num_gap_repairs);
-    }
-  } else {
-    std::vector<std::size_t> gap_counts(workers, 0);
-    std::vector<std::thread> threads;
-    threads.reserve(workers);
-    std::atomic<std::size_t> next{0};
-    for (unsigned w = 0; w < workers; ++w) {
-      threads.emplace_back([&, w] {
-        for (std::size_t i = next.fetch_add(1); i < data.size(); i = next.fetch_add(1)) {
-          per_trajectory[i] = fragment(data[i], &gap_counts[w]);
-        }
-      });
-    }
-    for (std::thread& t : threads) t.join();
-    for (const std::size_t g : gap_counts) out.num_gap_repairs += g;
-  }
-
-  // Grouping (serial; it is a tiny fraction of Phase 1).
-  group_and_sort(per_trajectory, net_.segment_count(), out);
-
-  record_phase1_counters(data.size(), out);
-  span.arg("trajectories", static_cast<std::uint64_t>(data.size()));
-  span.arg("fragments", static_cast<std::uint64_t>(out.num_fragments));
-  span.arg("gap_repairs", static_cast<std::uint64_t>(out.num_gap_repairs));
-  span.arg("threads", static_cast<std::uint64_t>(workers));
-  return out;
+  DatasetSource source(data);
+  return build_base_clusters(source, n_threads, {data.size()});
 }
 
 Phase1Output Fragmenter::build_base_clusters(TrajectorySource& source, unsigned n_threads,
@@ -322,46 +290,37 @@ Phase1Output Fragmenter::build_base_clusters(TrajectorySource& source, unsigned 
   const std::size_t total = source.size();
   const std::size_t batch_size = std::max<std::size_t>(1, options.batch_size);
 
-  // One Phase1Output per batch, merged at the end with the exact
-  // distributed merge: fragments of a shared segment are concatenated in
-  // batch (= dataset) order, so the result is bit-identical to the
-  // in-memory build regardless of batch size and thread count.
+  // One Phase1Output per batch. Workers claim trajectories from a shared
+  // cursor and store each result at its index, and grouping walks the
+  // indices in order, so a batch's output does not depend on the thread
+  // count; merging the batches in order makes the whole output independent
+  // of the batch size.
   std::vector<Phase1Output> batches;
   batches.reserve((total + batch_size - 1) / batch_size);
   std::vector<std::vector<TFragment>> per_trajectory;
-  std::size_t num_batches = 0;
   for (std::size_t begin = 0; begin < total; begin += batch_size) {
     const std::size_t end = std::min(total, begin + batch_size);
     per_trajectory.assign(end - begin, {});
-    Phase1Output batch;
     const unsigned workers =
         std::min<unsigned>(std::max(1u, n_threads), static_cast<unsigned>(end - begin));
-    if (workers <= 1) {
-      for (std::size_t i = begin; i < end; ++i) {
-        per_trajectory[i - begin] = fragment(source.at(i), &batch.num_gap_repairs);
+    std::vector<std::size_t> gap_counts(workers, 0);
+    std::atomic<std::size_t> next{begin};
+    detail::run_workers(workers, [&](unsigned w) {
+      for (std::size_t i = next.fetch_add(1); i < end; i = next.fetch_add(1)) {
+        per_trajectory[i - begin] = fragment(source.at(i), &gap_counts[w]);
       }
-    } else {
-      std::vector<std::size_t> gap_counts(workers, 0);
-      std::vector<std::thread> threads;
-      threads.reserve(workers);
-      std::atomic<std::size_t> next{begin};
-      for (unsigned w = 0; w < workers; ++w) {
-        threads.emplace_back([&, w] {
-          for (std::size_t i = next.fetch_add(1); i < end; i = next.fetch_add(1)) {
-            per_trajectory[i - begin] = fragment(source.at(i), &gap_counts[w]);
-          }
-        });
-      }
-      for (std::thread& t : threads) t.join();
-      for (const std::size_t g : gap_counts) batch.num_gap_repairs += g;
-    }
+    });
+    Phase1Output batch;
+    for (const std::size_t g : gap_counts) batch.num_gap_repairs += g;
     group_and_sort(per_trajectory, net_.segment_count(), batch);
     batches.push_back(std::move(batch));
-    ++num_batches;
     source.batch_done(begin, end);
   }
 
-  Phase1Output out = merge_phase1_outputs(std::move(batches));
+  // A single batch is already the answer: merging it alone is the identity.
+  const std::size_t num_batches = batches.size();
+  Phase1Output out = num_batches == 1 ? std::move(batches.front())
+                                      : merge_phase1_outputs(std::move(batches));
   record_phase1_counters(total, out);
   span.arg("trajectories", static_cast<std::uint64_t>(total));
   span.arg("fragments", static_cast<std::uint64_t>(out.num_fragments));
@@ -369,6 +328,50 @@ Phase1Output Fragmenter::build_base_clusters(TrajectorySource& source, unsigned 
   span.arg("batches", static_cast<std::uint64_t>(num_batches));
   span.arg("threads", static_cast<std::uint64_t>(std::max(1u, n_threads)));
   return out;
+}
+
+Phase1Output merge_phase1_outputs(std::vector<Phase1Output> batches) {
+  // A trajectory id appearing in two batches means the batches do not
+  // partition the dataset; merging would silently collapse the two
+  // trajectories' fragments into one participant.
+  {
+    std::unordered_set<TrajectoryId> earlier_batches;
+    std::unordered_set<TrajectoryId> this_batch;
+    for (std::size_t b = 0; b < batches.size(); ++b) {
+      this_batch.clear();
+      for (const BaseCluster& c : batches[b].base_clusters) {
+        for (const TrajectoryId trid : c.participants()) this_batch.insert(trid);
+      }
+      for (const TrajectoryId trid : this_batch) {
+        NEAT_EXPECT(!earlier_batches.contains(trid),
+                    str_cat("trajectory id ", trid.value(), " appears in batch ", b,
+                            " and an earlier batch; batches must partition the dataset"));
+      }
+      earlier_batches.merge(this_batch);
+    }
+  }
+
+  Phase1Output merged;
+  // Segment id -> index in the merged cluster vector.
+  std::vector<BaseCluster> clusters;
+  std::unordered_map<std::int32_t, std::size_t> index_of;
+  for (Phase1Output& batch : batches) {
+    merged.num_fragments += batch.num_fragments;
+    merged.num_gap_repairs += batch.num_gap_repairs;
+    for (BaseCluster& c : batch.base_clusters) {
+      const auto [it, inserted] = index_of.emplace(c.sid().value(), clusters.size());
+      if (inserted) {
+        clusters.push_back(std::move(c));
+      } else {
+        BaseCluster& target = clusters[it->second];
+        for (const TFragment& f : c.fragments()) target.add(f);
+      }
+    }
+  }
+  for (BaseCluster& c : clusters) c.finalize();
+  sort_by_density(clusters);
+  merged.base_clusters = std::move(clusters);
+  return merged;
 }
 
 }  // namespace neat

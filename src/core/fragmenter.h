@@ -11,6 +11,14 @@
 // Step 2: fragments are grouped by segment id into base clusters, which are
 // returned sorted by density (descending) so the first element is the
 // dense-core the Phase 2 merge starts from.
+//
+// Phase 1 runs as one algorithm whatever the deployment: the trajectories
+// are walked in contiguous batches, each batch is fragmented and grouped on
+// its own, and the per-batch outputs are combined by merge_phase1_outputs.
+// That merge is exact, so a batch is equally a memory bound (out-of-core
+// streaming) or a data node's shard (the paper's §II-C deployment, where
+// data nodes run Phase 1 locally and ship only base clusters). An in-memory
+// dataset is the same walk over a DatasetSource in one batch.
 #pragma once
 
 #include <cstddef>
@@ -44,6 +52,19 @@ class TrajectorySource {
   virtual void batch_done(std::size_t begin, std::size_t end);
 };
 
+/// TrajectorySource over an in-memory dataset. Keeps a reference to the
+/// dataset; do not outlive it.
+class DatasetSource final : public TrajectorySource {
+ public:
+  explicit DatasetSource(const traj::TrajectoryDataset& data) : data_(data) {}
+
+  [[nodiscard]] std::size_t size() const override { return data_.size(); }
+  [[nodiscard]] traj::Trajectory at(std::size_t i) const override { return data_[i]; }
+
+ private:
+  const traj::TrajectoryDataset& data_;
+};
+
 /// Tuning of the streaming (out-of-core) Phase 1 overload.
 struct StreamingPhase1Options {
   /// Trajectories materialized per batch; bounds peak memory. Values of 0
@@ -67,7 +88,7 @@ class Fragmenter {
   explicit Fragmenter(const roadnet::RoadNetwork& net);
 
   /// Partitions one trajectory into its t-fragment sequence (travel order).
-  /// Throws neat::PreconditionError when a sample references a segment that
+  /// Throws neat::NotFoundError when a sample references a segment that
   /// does not exist. `gap_repairs` (optional) is incremented per repaired
   /// non-contiguous sample pair.
   [[nodiscard]] std::vector<TFragment> fragment(const traj::Trajectory& tr,
@@ -78,20 +99,20 @@ class Fragmenter {
   /// in §III-A.1. Mainly for inspection and tests.
   [[nodiscard]] traj::Trajectory augmented(const traj::Trajectory& tr) const;
 
-  /// Runs both Phase 1 steps over a dataset. `n_threads` > 1 fragments
-  /// trajectories concurrently (trajectories are independent; the network
-  /// is read-only) and merges per-trajectory results in dataset order, so
-  /// the output is bit-identical to the serial run. Values of 0 and 1 both
-  /// mean serial.
+  /// Runs both Phase 1 steps over a dataset: the streaming overload over a
+  /// DatasetSource in one batch.
   [[nodiscard]] Phase1Output build_base_clusters(const traj::TrajectoryDataset& data,
                                                  unsigned n_threads = 1) const;
 
-  /// Out-of-core Phase 1: walks `source` in batches of
-  /// `options.batch_size` trajectories (each batch fragmented across
-  /// `n_threads` workers, grouped serially) and merges the per-batch
-  /// outputs with the exact distributed merge, so the result is
-  /// bit-identical to the in-memory overload at any batch size and thread
-  /// count while peak memory stays bounded by one batch.
+  /// Runs both Phase 1 steps over `source` in batches of
+  /// `options.batch_size` trajectories. Each batch is fragmented across
+  /// `n_threads` workers (0 and 1 both mean serial), grouped serially and
+  /// handed to `source.batch_done`; the per-batch outputs are combined with
+  /// merge_phase1_outputs. The result is bit-identical at any batch size
+  /// and thread count, while peak memory stays bounded by one batch. A
+  /// sample on a missing segment throws neat::NotFoundError on the calling
+  /// thread, whatever the thread count; a trajectory id repeated across
+  /// batches throws neat::PreconditionError.
   [[nodiscard]] Phase1Output build_base_clusters(TrajectorySource& source,
                                                  unsigned n_threads = 1,
                                                  const StreamingPhase1Options& options = {}) const;
@@ -99,5 +120,16 @@ class Fragmenter {
  private:
   const roadnet::RoadNetwork& net_;
 };
+
+/// Merges Phase 1 outputs of consecutive batches (or shards) into one,
+/// combining base clusters of the same segment and re-sorting by (density
+/// desc, sid asc). Fragments of a shared segment are concatenated in batch
+/// order, so batches that partition a dataset contiguously reproduce the
+/// single-batch output exactly. Trajectory ids must not repeat across
+/// batches — a duplicate would silently deflate trajectory cardinalities
+/// (two batches' fragments of "different" trajectories collapsing into one
+/// participant), so the merge checks and throws neat::PreconditionError
+/// naming the offending id.
+[[nodiscard]] Phase1Output merge_phase1_outputs(std::vector<Phase1Output> batches);
 
 }  // namespace neat

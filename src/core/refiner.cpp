@@ -2,42 +2,81 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <deque>
 #include <limits>
+#include <optional>
 
 #include "common/error.h"
+#include "common/string_util.h"
 #include "core/netflow.h"
+#include "core/workers.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
+#include "roadnet/ch_table.h"
 #include "roadnet/landmark_oracle.h"
+#include "roadnet/shortest_path.h"
 
 namespace neat {
 
 namespace {
+
 constexpr double kInf = std::numeric_limits<double>::infinity();
-}  // namespace
 
-namespace detail {
+/// Pairs per fill_pair_distances() chunk, the unit workers claim. Fixed, so
+/// the chunk boundaries — and with them the kChTable batching and every
+/// deterministic counter — are identical at any thread count. Large enough
+/// to amortize the claim atomic and the per-chunk table fill, small enough
+/// that an unlucky worker stuck with expensive pairs cannot stall the others
+/// at the end of the matrix.
+constexpr std::size_t kPairChunk = 64;
 
-void add_phase3_metrics(const Phase3Output& counters, std::size_t total_pairs,
+/// Adds one Phase-3 run's work counters to the global metric registry —
+/// one bulk update so the per-pair hot loop never touches shared atomics.
+void add_phase3_metrics(const Phase3Output& out, std::size_t total_pairs,
                         bool landmarks_enabled) {
   obs::Registry& reg = obs::Registry::global();
   reg.counter("neat_core_pairs_total").add(total_pairs);
-  reg.counter("neat_core_pairs_evaluated_total").add(counters.pairs_evaluated);
-  reg.counter("neat_core_elb_pruned_pairs_total").add(counters.elb_pruned_pairs);
-  reg.counter("neat_core_lm_pruned_pairs_total").add(counters.lm_pruned_pairs);
-  reg.counter("neat_core_sp_computations_total").add(counters.sp_computations);
-  reg.counter("neat_core_sp_settled_nodes_total").add(counters.settled_nodes);
+  reg.counter("neat_core_pairs_evaluated_total").add(out.pairs_evaluated);
+  reg.counter("neat_core_elb_pruned_pairs_total").add(out.elb_pruned_pairs);
+  reg.counter("neat_core_lm_pruned_pairs_total").add(out.lm_pruned_pairs);
+  reg.counter("neat_core_sp_computations_total").add(out.sp_computations);
+  reg.counter("neat_core_sp_settled_nodes_total").add(out.settled_nodes);
   if (landmarks_enabled) {
     // Landmark-bound hit rate: checks are the pairs that survived ELB and
     // reached the triangle-inequality test, hits the pairs it eliminated.
-    reg.counter("neat_core_lm_bound_checks_total")
-        .add(total_pairs - counters.elb_pruned_pairs);
-    reg.counter("neat_core_lm_bound_hits_total").add(counters.lm_pruned_pairs);
+    reg.counter("neat_core_lm_bound_checks_total").add(total_pairs - out.elb_pruned_pairs);
+    reg.counter("neat_core_lm_bound_hits_total").add(out.lm_pruned_pairs);
   }
+  reg.counter("neat_core_final_clusters_total").add(out.clusters.size());
 }
 
-}  // namespace detail
+}  // namespace
+
+struct Refiner::DistanceContext {
+  DistanceContext(const roadnet::RoadNetwork& net, const roadnet::LandmarkOracle* landmarks)
+      : oracle(net), lm(landmarks) {}
+
+  roadnet::NodeDistanceOracle oracle;
+  const roadnet::LandmarkOracle* lm;
+  std::optional<roadnet::ChEngine::Query> ch;
+  std::optional<roadnet::CHTableEngine> table;
+  // Batched-table scratch of fill_pair_distances, reused across chunks.
+  // Kept beside the engines so the spans handed to table() are per-thread
+  // and provably disjoint from the shared condensed matrix.
+  std::vector<NodeId> table_sources;
+  std::vector<NodeId> table_targets;
+  std::vector<double> table_cells;
+
+  [[nodiscard]] std::size_t computations() const {
+    return oracle.computations() + (ch ? ch->computations() : 0) +
+           (table ? table->computations() : 0);
+  }
+  [[nodiscard]] std::size_t settled_nodes() const {
+    return oracle.settled_nodes() + (ch ? ch->settled_nodes() : 0) +
+           (table ? table->settled_nodes() : 0);
+  }
+};
 
 double hausdorff_from_parts(double d11, double d12, double d21, double d22) {
   // Eq. 5: max over each endpoint of one route of its distance to the
@@ -51,13 +90,6 @@ Refiner::Refiner(const roadnet::RoadNetwork& net, RefineConfig config)
     : net_(net), config_(config) {
   NEAT_EXPECT(config_.epsilon > 0.0, "RefineConfig: epsilon must be positive");
   NEAT_EXPECT(config_.min_pts >= 1, "RefineConfig: min_pts must be at least 1");
-  // Normalize the legacy landmark flag against the engine choice: the old
-  // use_landmarks spelling selects the ALT rung, and the ALT rung implies
-  // the landmark tables it runs on.
-  if (config_.use_landmarks && config_.distance_engine == DistanceEngine::kDijkstra) {
-    config_.distance_engine = DistanceEngine::kAlt;
-  }
-  if (config_.distance_engine == DistanceEngine::kAlt) config_.use_landmarks = true;
   NEAT_EXPECT(!config_.use_landmarks || config_.num_landmarks >= 1,
               "RefineConfig: num_landmarks must be at least 1 when landmarks are enabled");
 }
@@ -100,7 +132,7 @@ const roadnet::ChEngine* Refiner::ch_engine() const {
 }
 
 Refiner::DistanceContext Refiner::make_context() const {
-  DistanceContext ctx{roadnet::NodeDistanceOracle(net_)};
+  DistanceContext ctx(net_, landmark_oracle());
   if (const roadnet::ChEngine* ch = ch_engine()) {
     ctx.ch.emplace(*ch);
     if (config_.distance_engine == DistanceEngine::kChTable) ctx.table.emplace(*ch);
@@ -132,8 +164,7 @@ double Refiner::landmark_hausdorff_bound(const FlowCluster& a, const FlowCluster
 }
 
 double Refiner::network_hausdorff(const FlowCluster& a, const FlowCluster& b,
-                                  DistanceContext& ctx,
-                                  const roadnet::LandmarkOracle* lm) const {
+                                  DistanceContext& ctx) const {
   const double bound = config_.bound_searches_at_epsilon ? config_.epsilon : kInf;
   const std::array<NodeId, 2> b_ends{b.start_junction(), b.end_junction()};
   std::array<double, 2> row1{};
@@ -144,7 +175,7 @@ double Refiner::network_hausdorff(const FlowCluster& a, const FlowCluster& b,
   if (ctx.ch) {
     ctx.ch->distances(a.start_junction(), b_ends, row1, bound);
   } else {
-    ctx.oracle.distances(a.start_junction(), b_ends, row1, bound, lm);
+    ctx.oracle.distances(a.start_junction(), b_ends, row1, bound, ctx.lm);
   }
   if (config_.bound_searches_at_epsilon &&
       std::min(row1[0], row1[1]) > config_.epsilon) {
@@ -156,7 +187,7 @@ double Refiner::network_hausdorff(const FlowCluster& a, const FlowCluster& b,
   if (ctx.ch) {
     ctx.ch->distances(a.end_junction(), b_ends, row2, bound);
   } else {
-    ctx.oracle.distances(a.end_junction(), b_ends, row2, bound, lm);
+    ctx.oracle.distances(a.end_junction(), b_ends, row2, bound, ctx.lm);
   }
   return hausdorff_from_parts(row1[0], row1[1], row2[0], row2[1]);
 }
@@ -178,8 +209,7 @@ double Refiner::euclidean_route_hausdorff(const FlowCluster& a, const FlowCluste
 }
 
 double Refiner::network_route_hausdorff(const FlowCluster& a, const FlowCluster& b,
-                                        DistanceContext& ctx,
-                                        const roadnet::LandmarkOracle* lm) const {
+                                        DistanceContext& ctx) const {
   const double bound = config_.bound_searches_at_epsilon ? config_.epsilon : kInf;
   const auto directed = [&](const std::vector<NodeId>& from, const std::vector<NodeId>& to) {
     double worst = 0.0;
@@ -187,7 +217,7 @@ double Refiner::network_route_hausdorff(const FlowCluster& a, const FlowCluster&
       // One multi-target query: min_v d_N(u, v) over the other route's
       // junctions (the oracle settles the first target; CH buckets them).
       worst = std::max(worst, ctx.ch ? ctx.ch->distance_to_any(u, to, bound)
-                                     : ctx.oracle.distance_to_any(u, to, bound, lm));
+                                     : ctx.oracle.distance_to_any(u, to, bound, ctx.lm));
       if (worst > config_.epsilon) break;  // the max can only grow
     }
     return worst;
@@ -203,10 +233,9 @@ double Refiner::elb_key(const FlowCluster& a, const FlowCluster& b) const {
 
 double Refiner::flow_distance(const FlowCluster& a, const FlowCluster& b) const {
   DistanceContext ctx = make_context();
-  const roadnet::LandmarkOracle* lm = landmark_oracle();
   return config_.distance_mode == FlowDistanceMode::kEndpoints
-             ? network_hausdorff(a, b, ctx, lm)
-             : network_route_hausdorff(a, b, ctx, lm);
+             ? network_hausdorff(a, b, ctx)
+             : network_route_hausdorff(a, b, ctx);
 }
 
 bool Refiner::pair_pruned(const FlowCluster& a, const FlowCluster& b,
@@ -231,13 +260,12 @@ bool Refiner::pair_pruned(const FlowCluster& a, const FlowCluster& b,
 
 double Refiner::refine_pair_distance(const FlowCluster& a, const FlowCluster& b,
                                      DistanceContext& ctx, Phase3Output& counters) const {
-  const roadnet::LandmarkOracle* lm = landmark_oracle();
-  if (pair_pruned(a, b, lm, counters)) return kInf;
+  if (pair_pruned(a, b, ctx.lm, counters)) return kInf;
   const std::size_t before = ctx.computations();
   const std::size_t before_settled = ctx.settled_nodes();
   const double d = config_.distance_mode == FlowDistanceMode::kEndpoints
-                       ? network_hausdorff(a, b, ctx, lm)
-                       : network_route_hausdorff(a, b, ctx, lm);
+                       ? network_hausdorff(a, b, ctx)
+                       : network_route_hausdorff(a, b, ctx);
   counters.sp_computations += ctx.computations() - before;
   counters.settled_nodes += ctx.settled_nodes() - before_settled;
   ++counters.pairs_evaluated;
@@ -249,8 +277,6 @@ void Refiner::fill_pair_distances(const std::vector<FlowCluster>& flows, std::si
                                   std::span<double> pair_dist,
                                   Phase3Output& counters) const {
   const std::size_t n = flows.size();
-  NEAT_EXPECT(pair_dist.size() == n * (n - 1) / 2 && end <= pair_dist.size(),
-              "fill_pair_distances: range must lie in the condensed matrix");
   // Recover (i, j) from the condensed index p = i*n - i*(i+1)/2 + (j-i-1) by
   // walking rows; the range is contiguous, so the walk is amortized O(1) per
   // pair.
@@ -288,9 +314,8 @@ void Refiner::fill_pair_distances(const std::vector<FlowCluster>& flows, std::si
   };
   std::vector<Survivor> survivors;
   survivors.reserve(end - begin);
-  const roadnet::LandmarkOracle* lm = landmark_oracle();
   for (std::size_t p = begin; p < end; ++p) {
-    if (pair_pruned(flows[i], flows[j], lm, counters)) {
+    if (pair_pruned(flows[i], flows[j], ctx.lm, counters)) {
       pair_dist[p] = kInf;
     } else {
       survivors.push_back(Survivor{p, i, j});
@@ -324,13 +349,15 @@ void Refiner::fill_pair_distances(const std::vector<FlowCluster>& flows, std::si
   }
 }
 
-Phase3Output Refiner::cluster_from_pair_distances(
-    const std::vector<FlowCluster>& flows, std::span<const double> pair_distances) const {
-  Phase3Output out;
+namespace {
+
+/// The deterministic DBSCAN merge over a finished condensed pair-distance
+/// matrix: the entry for pair (i, j), i < j, lives at index
+/// i * n - i * (i + 1) / 2 + (j - i - 1).
+std::vector<FinalCluster> cluster_from_pair_distances(const std::vector<FlowCluster>& flows,
+                                                      std::span<const double> pair_distances,
+                                                      const RefineConfig& config) {
   const std::size_t n = flows.size();
-  NEAT_EXPECT(pair_distances.size() == n * (n - 1) / 2 || n == 0,
-              "cluster_from_pair_distances: matrix size must be n*(n-1)/2");
-  if (n == 0) return out;
 
   const auto pair_distance = [&](std::size_t i, std::size_t j) {
     if (i > j) std::swap(i, j);
@@ -352,7 +379,7 @@ Phase3Output Refiner::cluster_from_pair_distances(
   const auto region_query = [&](std::size_t i) {
     std::vector<std::size_t> region;
     for (std::size_t j = 0; j < n; ++j) {
-      if (j == i || pair_distance(i, j) <= config_.epsilon) region.push_back(j);
+      if (j == i || pair_distance(i, j) <= config.epsilon) region.push_back(j);
     }
     return region;
   };
@@ -366,7 +393,7 @@ Phase3Output Refiner::cluster_from_pair_distances(
   for (const std::size_t seed : order) {
     if (label[seed] != kUnclassified) continue;
     const std::vector<std::size_t> region = region_query(seed);
-    if (region.size() < static_cast<std::size_t>(config_.min_pts)) {
+    if (region.size() < static_cast<std::size_t>(config.min_pts)) {
       label[seed] = kNoise;
       continue;
     }
@@ -387,7 +414,7 @@ Phase3Output Refiner::cluster_from_pair_distances(
       label[cur] = cluster_id;
       groups[cluster_id].push_back(cur);
       const std::vector<std::size_t> sub_region = region_query(cur);
-      if (sub_region.size() >= static_cast<std::size_t>(config_.min_pts)) {
+      if (sub_region.size() >= static_cast<std::size_t>(config.min_pts)) {
         for (const std::size_t nb : sub_region) {
           if (label[nb] == kUnclassified || label[nb] == kNoise) frontier.push_back(nb);
         }
@@ -404,6 +431,7 @@ Phase3Output Refiner::cluster_from_pair_distances(
     }
   }
 
+  std::vector<FinalCluster> clusters;
   for (std::vector<std::size_t>& members : groups) {
     std::sort(members.begin(), members.end());
     FinalCluster fc;
@@ -412,51 +440,80 @@ Phase3Output Refiner::cluster_from_pair_distances(
       fc.total_route_length += flows[fi].route_length;
       fc.participants = merge_participants(fc.participants, flows[fi].participants);
     }
-    out.clusters.push_back(std::move(fc));
+    clusters.push_back(std::move(fc));
   }
-  return out;
+  return clusters;
 }
+
+}  // namespace
 
 Phase3Output Refiner::refine(const std::vector<FlowCluster>& flows) const {
   const std::size_t n = flows.size();
   if (n == 0) return {};
+  const std::size_t total_pairs = n * (n - 1) / 2;
+  const unsigned workers = static_cast<unsigned>(
+      std::min<std::size_t>(std::max(1u, config_.threads), std::max<std::size_t>(1, total_pairs)));
   obs::ScopedSpan span("phase3.refine");
   span.arg("flows", static_cast<std::uint64_t>(n));
+  span.arg("threads", static_cast<std::uint64_t>(workers));
 
-  // The DBSCAN below queries the ε-neighborhood of every flow exactly once,
-  // so every unordered pair is needed regardless of how the merge unfolds.
-  // Evaluating the full condensed matrix up front keeps the serial and
-  // parallel refiners on one code path with bit-identical results.
-  Phase3Output counters;
-  DistanceContext ctx = make_context();
-  std::vector<double> pair_dist(n * (n - 1) / 2);
+  // Build the shared accelerators (landmark tables, contraction hierarchy)
+  // on the calling thread; the workers only read them.
+  static_cast<void>(landmark_oracle());
+  static_cast<void>(ch_engine());
+
+  std::vector<double> pair_dist(total_pairs);
+  std::vector<Phase3Output> counters(workers);
+  Phase3Output out;
   {
     obs::ScopedSpan pairs_span("phase3.pair_distances");
-    // Same kPairChunk walk the parallel workers claim, so chunk-dependent
-    // work (the kChTable batching) and every deterministic counter match
-    // ParallelRefiner bit for bit.
-    for (std::size_t begin = 0; begin < pair_dist.size(); begin += kPairChunk) {
-      fill_pair_distances(flows, begin, std::min(begin + kPairChunk, pair_dist.size()),
-                          ctx, pair_dist, counters);
+    std::atomic<std::size_t> next{0};
+    detail::run_workers(workers, [&](unsigned w) {
+      if (workers > 1) obs::Tracer::global().set_thread_name(str_cat("refine-worker-", w));
+      // One span per worker: the trace shows every worker's lifetime side by
+      // side, with its share of the prune/search work as args.
+      obs::ScopedSpan worker_span("phase3.worker");
+      worker_span.arg("worker", static_cast<std::uint64_t>(w));
+      DistanceContext ctx = make_context();
+      // Stack-local counters avoid false sharing between workers' slots of
+      // the shared vector; stored once at the end.
+      Phase3Output local;
+      std::size_t claimed = 0;
+      for (;;) {
+        const std::size_t begin = next.fetch_add(kPairChunk, std::memory_order_relaxed);
+        if (begin >= total_pairs) break;
+        const std::size_t end = std::min(begin + kPairChunk, total_pairs);
+        claimed += end - begin;
+        // Chunks never overlap, so concurrent writes into pair_dist are
+        // disjoint.
+        fill_pair_distances(flows, begin, end, ctx, pair_dist, local);
+      }
+      worker_span.arg("pairs_claimed", static_cast<std::uint64_t>(claimed));
+      worker_span.arg("pairs_evaluated", static_cast<std::uint64_t>(local.pairs_evaluated));
+      worker_span.arg("elb_pruned", static_cast<std::uint64_t>(local.elb_pruned_pairs));
+      worker_span.arg("lm_pruned", static_cast<std::uint64_t>(local.lm_pruned_pairs));
+      worker_span.arg("sp_computations", static_cast<std::uint64_t>(local.sp_computations));
+      counters[w] = std::move(local);
+    });
+    // Counters are order-independent sums, so the totals do not depend on
+    // how chunks were interleaved — except settled_nodes under kCh/kChTable,
+    // where each worker memoizes hub labels.
+    for (const Phase3Output& c : counters) {
+      out.sp_computations += c.sp_computations;
+      out.elb_pruned_pairs += c.elb_pruned_pairs;
+      out.lm_pruned_pairs += c.lm_pruned_pairs;
+      out.pairs_evaluated += c.pairs_evaluated;
+      out.settled_nodes += c.settled_nodes;
     }
-    pairs_span.arg("pairs", static_cast<std::uint64_t>(pair_dist.size()));
-    pairs_span.arg("elb_pruned", static_cast<std::uint64_t>(counters.elb_pruned_pairs));
-    pairs_span.arg("lm_pruned", static_cast<std::uint64_t>(counters.lm_pruned_pairs));
-    pairs_span.arg("sp_computations",
-                   static_cast<std::uint64_t>(counters.sp_computations));
+    pairs_span.arg("pairs", static_cast<std::uint64_t>(total_pairs));
+    pairs_span.arg("elb_pruned", static_cast<std::uint64_t>(out.elb_pruned_pairs));
+    pairs_span.arg("lm_pruned", static_cast<std::uint64_t>(out.lm_pruned_pairs));
+    pairs_span.arg("sp_computations", static_cast<std::uint64_t>(out.sp_computations));
   }
 
   obs::ScopedSpan merge_span("phase3.cluster");
-  Phase3Output out = cluster_from_pair_distances(flows, pair_dist);
-  detail::add_phase3_metrics(counters, pair_dist.size(), config_.use_landmarks);
-  out.sp_computations = counters.sp_computations;
-  out.elb_pruned_pairs = counters.elb_pruned_pairs;
-  out.lm_pruned_pairs = counters.lm_pruned_pairs;
-  out.pairs_evaluated = counters.pairs_evaluated;
-  out.settled_nodes = counters.settled_nodes;
-  obs::Registry::global()
-      .counter("neat_core_final_clusters_total")
-      .add(out.clusters.size());
+  out.clusters = cluster_from_pair_distances(flows, pair_dist, config_);
+  add_phase3_metrics(out, total_pairs, config_.use_landmarks);
   span.arg("final_clusters", static_cast<std::uint64_t>(out.clusters.size()));
   return out;
 }

@@ -19,22 +19,20 @@
 // Neither prune ever changes a merge decision, only the work performed.
 //
 // Queries that survive pruning run on a configurable DistanceEngine ladder
-// (plain Dijkstra / ALT-steered A* / Contraction Hierarchies); every rung
-// returns the same distances, so clusters are bit-identical across engines.
+// (Dijkstra, ALT-steered A* when landmarks are on, Contraction Hierarchies);
+// every rung returns the same distances, so clusters are bit-identical
+// across engines.
 #pragma once
 
 #include <cstddef>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "core/flow_cluster.h"
 #include "roadnet/ch_engine.h"
-#include "roadnet/ch_table.h"
 #include "roadnet/road_network.h"
-#include "roadnet/shortest_path.h"
 
 namespace neat {
 
@@ -52,13 +50,12 @@ enum class FlowDistanceMode {
 
 /// Which engine answers the shortest-path queries that survive pruning.
 /// Every rung returns identical distances — the ladder only trades
-/// preprocessing for per-query work, never merge decisions.
+/// preprocessing for per-query work, never merge decisions. Landmark (ALT)
+/// steering is RefineConfig::use_landmarks on top of kDijkstra.
 enum class DistanceEngine {
-  /// Plain bounded Dijkstra (NodeDistanceOracle), no preprocessing.
+  /// Bounded Dijkstra (NodeDistanceOracle), no preprocessing; A* over the
+  /// landmark tables when use_landmarks is set.
   kDijkstra,
-  /// ALT: landmark tables prune pairs and steer the surviving searches as
-  /// A*. Equivalent to kDijkstra + use_landmarks (kept for compatibility).
-  kAlt,
   /// Contraction Hierarchies: one-time node-contraction preprocessing, then
   /// bidirectional upward searches that settle orders of magnitude fewer
   /// nodes per query (roadnet::ChEngine).
@@ -83,11 +80,9 @@ struct RefineConfig {
   /// Dijkstra runs to build (lazily, on first refine()).
   bool use_landmarks{false};
   int num_landmarks{8};    ///< Landmark count when use_landmarks is set.
-  /// Shortest-path engine for the queries pruning cannot skip. The Refiner
-  /// constructor normalizes the legacy flag: use_landmarks with kDijkstra
-  /// becomes kAlt, and kAlt implies use_landmarks. kCh builds a
-  /// roadnet::ChEngine lazily on first refine() (or accepts a shared one
-  /// via Refiner::set_ch_engine).
+  /// Shortest-path engine for the queries pruning cannot skip. kCh and
+  /// kChTable build a roadnet::ChEngine lazily on first refine() (or accept
+  /// a shared one via Refiner::set_ch_engine).
   DistanceEngine distance_engine{DistanceEngine::kDijkstra};
   /// Stop each Dijkstra once the search frontier passes ε. Every clustering
   /// decision is identical (DBSCAN only asks whether d <= ε; a leg that
@@ -99,8 +94,8 @@ struct RefineConfig {
   /// matches the paper's "no minimum cardinality" modification.
   int min_pts{1};
   /// Worker threads for the pairwise-distance evaluation (see
-  /// ParallelRefiner). The output is bit-identical for any value; 0/1 =
-  /// serial. Honored by NeatClusterer and the serving/incremental paths.
+  /// Refiner::refine). The output is bit-identical for any value; 0/1 =
+  /// serial.
   unsigned threads{1};
 };
 
@@ -130,14 +125,6 @@ struct Phase3Output {
 /// endpoint distances d(a_i, b_j). Exposed for tests.
 [[nodiscard]] double hausdorff_from_parts(double d11, double d12, double d21, double d22);
 
-namespace detail {
-/// Adds one Phase-3 run's work counters to the global metric registry —
-/// one bulk update so the per-pair hot loop never touches shared atomics.
-/// Shared by the serial and parallel refiners.
-void add_phase3_metrics(const Phase3Output& counters, std::size_t total_pairs,
-                        bool landmarks_enabled);
-}  // namespace detail
-
 /// Merges flow clusters into final trajectory clusters.
 class Refiner {
  public:
@@ -147,7 +134,14 @@ class Refiner {
   /// landmark tables are built lazily on first use.
   Refiner(const roadnet::RoadNetwork& net, RefineConfig config);
 
-  /// Runs the refinement over the given flows. Deterministic.
+  /// Runs the refinement over the given flows. The DBSCAN merge queries the
+  /// ε-neighborhood of every flow exactly once, so the full condensed
+  /// pair-distance matrix is evaluated up front — split across
+  /// RefineConfig::threads workers that claim fixed 64-pair chunks and keep
+  /// private search workspaces and counters — and the merge then runs
+  /// serially on it. Deterministic: clusters and counters are bit-identical
+  /// at any thread count, except settled_nodes under the CH engines, whose
+  /// per-worker label memos make it depend on which worker claims a chunk.
   [[nodiscard]] Phase3Output refine(const std::vector<FlowCluster>& flows) const;
 
   /// Network (modified Hausdorff) distance between two flow clusters under
@@ -171,74 +165,6 @@ class Refiner {
   [[nodiscard]] double landmark_hausdorff_bound(const FlowCluster& a, const FlowCluster& b,
                                                 const roadnet::LandmarkOracle& lm) const;
 
-  // --- building blocks shared with ParallelRefiner ---------------------------
-
-  /// Per-thread distance-evaluation workspace: a Dijkstra/ALT oracle plus,
-  /// under DistanceEngine::kCh/kChTable, a query head (and for kChTable a
-  /// table engine) bound to the shared hierarchy. Obtain via make_context();
-  /// not thread safe, create one per thread.
-  struct DistanceContext {
-    roadnet::NodeDistanceOracle oracle;
-    std::optional<roadnet::ChEngine::Query> ch;
-    std::optional<roadnet::CHTableEngine> table;
-    // Batched-table scratch of fill_pair_distances, reused across chunks.
-    // Kept beside the engines so the spans handed to table() are per-thread
-    // and provably disjoint from the shared condensed matrix.
-    std::vector<NodeId> table_sources;
-    std::vector<NodeId> table_targets;
-    std::vector<double> table_cells;
-
-    [[nodiscard]] std::size_t computations() const {
-      return oracle.computations() + (ch ? ch->computations() : 0) +
-             (table ? table->computations() : 0);
-    }
-    [[nodiscard]] std::size_t settled_nodes() const {
-      return oracle.settled_nodes() + (ch ? ch->settled_nodes() : 0) +
-             (table ? table->settled_nodes() : 0);
-    }
-  };
-
-  /// Pairs per fill_pair_distances() chunk, shared by the serial refiner's
-  /// loop and ParallelRefiner's work claiming. One constant keeps the chunk
-  /// boundaries — and with them the kChTable batching and every
-  /// deterministic counter — identical at any thread count. Large enough to
-  /// amortize the claim atomic and the per-chunk table fill, small enough
-  /// that an unlucky worker stuck with expensive pairs cannot stall the
-  /// others at the end of the matrix.
-  static constexpr std::size_t kPairChunk = 64;
-
-  /// Builds a workspace for the configured engine. Under kCh this triggers
-  /// the (thread-safe, once-only) lazy hierarchy build.
-  [[nodiscard]] DistanceContext make_context() const;
-
-  /// Distance of one candidate pair exactly as refine() uses it: applies the
-  /// ELB and landmark prunes (returning +inf without any search when one
-  /// fires), otherwise evaluates the configured network Hausdorff with
-  /// batched one-to-many searches. Work counters accumulate into `counters`
-  /// (the `clusters` member is untouched).
-  [[nodiscard]] double refine_pair_distance(const FlowCluster& a, const FlowCluster& b,
-                                            DistanceContext& ctx,
-                                            Phase3Output& counters) const;
-
-  /// Evaluates the condensed-matrix entries [begin, end) into the matching
-  /// slots of `pair_dist` (the FULL condensed matrix span; entries outside
-  /// the range are untouched). The one pair-evaluation code path of both
-  /// refiners: the serial refine() walks it chunk by chunk and
-  /// ParallelRefiner's workers claim chunks concurrently, so prune and
-  /// computation counters are bit-identical at any thread count. Under
-  /// kChTable (endpoint mode) the chunk's surviving pairs are answered by a
-  /// single CHTableEngine::table() fill over their deduplicated endpoints.
-  void fill_pair_distances(const std::vector<FlowCluster>& flows, std::size_t begin,
-                           std::size_t end, DistanceContext& ctx,
-                           std::span<double> pair_dist, Phase3Output& counters) const;
-
-  /// The deterministic DBSCAN merge over a precomputed condensed pair
-  /// distance matrix: entry for pair (i, j), i < j, lives at index
-  /// i * n - i * (i + 1) / 2 + (j - i - 1). Only the `clusters` member of
-  /// the result is populated.
-  [[nodiscard]] Phase3Output cluster_from_pair_distances(
-      const std::vector<FlowCluster>& flows, std::span<const double> pair_distances) const;
-
   /// Pre-seeds the landmark tables (e.g. to share one oracle across many
   /// refiners or batches). Ignored unless the config enables landmarks.
   void set_landmarks(std::shared_ptr<const roadnet::LandmarkOracle> landmarks);
@@ -260,16 +186,37 @@ class Refiner {
   [[nodiscard]] const roadnet::RoadNetwork& network() const { return net_; }
 
  private:
+  /// Per-thread search workspace (defined in refiner.cpp): the landmark
+  /// tables, a Dijkstra/ALT oracle and, under kCh/kChTable, a query head
+  /// (and for kChTable a table engine) over the shared hierarchy.
+  struct DistanceContext;
+
+  /// Builds a workspace for the configured engine, triggering the
+  /// thread-safe, once-only lazy accelerator builds.
+  [[nodiscard]] DistanceContext make_context() const;
+
+  /// Distance of one candidate pair exactly as refine() uses it: +inf when
+  /// the ELB or landmark prune fires, otherwise the configured network
+  /// Hausdorff. Work counters accumulate into `counters`.
+  double refine_pair_distance(const FlowCluster& a, const FlowCluster& b, DistanceContext& ctx,
+                              Phase3Output& counters) const;
+
+  /// Evaluates the condensed-matrix entries [begin, end) into the matching
+  /// slots of `pair_dist` (the full matrix). Under kChTable (endpoint mode)
+  /// the range's surviving pairs are answered by one table() fill.
+  void fill_pair_distances(const std::vector<FlowCluster>& flows, std::size_t begin,
+                           std::size_t end, DistanceContext& ctx, std::span<double> pair_dist,
+                           Phase3Output& counters) const;
+
   /// Applies the admissible ELB and landmark prunes to one pair, bumping the
   /// matching counter. True = pruned (the pair's distance is > ε without any
   /// shortest-path work).
   bool pair_pruned(const FlowCluster& a, const FlowCluster& b,
                    const roadnet::LandmarkOracle* lm, Phase3Output& counters) const;
-  double network_hausdorff(const FlowCluster& a, const FlowCluster& b, DistanceContext& ctx,
-                           const roadnet::LandmarkOracle* lm) const;
+  double network_hausdorff(const FlowCluster& a, const FlowCluster& b,
+                           DistanceContext& ctx) const;
   double network_route_hausdorff(const FlowCluster& a, const FlowCluster& b,
-                                 DistanceContext& ctx,
-                                 const roadnet::LandmarkOracle* lm) const;
+                                 DistanceContext& ctx) const;
   double elb_key(const FlowCluster& a, const FlowCluster& b) const;
 
   const roadnet::RoadNetwork& net_;

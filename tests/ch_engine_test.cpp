@@ -15,7 +15,7 @@
 
 #include "common/rng.h"
 #include "core/clusterer.h"
-#include "core/parallel_refiner.h"
+#include "core/refiner.h"
 #include "roadnet/builder.h"
 #include "roadnet/generators.h"
 #include "roadnet/shortest_path.h"
@@ -266,38 +266,42 @@ TEST(ChEngineLadder, EveryEngineProducesIdenticalClusters) {
   base.epsilon = 500.0;
   const Phase3Output reference = Refiner(net, base).refine(flows);
 
-  for (const DistanceEngine engine :
-       {DistanceEngine::kDijkstra, DistanceEngine::kAlt, DistanceEngine::kCh}) {
-    RefineConfig cfg = base;
-    cfg.distance_engine = engine;
-    const Phase3Output serial = Refiner(net, cfg).refine(flows);
-    ASSERT_EQ(serial.clusters.size(), reference.clusters.size());
-    for (std::size_t i = 0; i < serial.clusters.size(); ++i) {
-      EXPECT_EQ(serial.clusters[i].flows, reference.clusters[i].flows)
-          << "engine " << static_cast<int>(engine) << " cluster " << i;
-    }
-    // Pruning counters may differ between rungs (ALT prunes more pairs);
-    // within one rung, the parallel refiner must reproduce the serial run's
-    // clusters and pruning counters exactly. settled_nodes is only exact for
-    // the per-pair-independent engines: each CH worker memoizes hub labels in
-    // its own Query, so the settled total depends on which worker the dynamic
-    // chunk scheduler hands each pair to.
-    for (const unsigned threads : {2u, 8u}) {
-      RefineConfig pcfg = cfg;
-      pcfg.threads = threads;
-      const Phase3Output parallel = ParallelRefiner(net, pcfg).refine(flows);
-      ASSERT_EQ(parallel.clusters.size(), serial.clusters.size());
+  for (const bool landmarks : {false, true}) {
+    for (const DistanceEngine engine :
+         {DistanceEngine::kDijkstra, DistanceEngine::kCh, DistanceEngine::kChTable}) {
+      RefineConfig cfg = base;
+      cfg.use_landmarks = landmarks;  // with kDijkstra: the ALT rung
+      cfg.distance_engine = engine;
+      const Phase3Output serial = Refiner(net, cfg).refine(flows);
+      ASSERT_EQ(serial.clusters.size(), reference.clusters.size());
       for (std::size_t i = 0; i < serial.clusters.size(); ++i) {
-        EXPECT_EQ(parallel.clusters[i].flows, serial.clusters[i].flows);
+        EXPECT_EQ(serial.clusters[i].flows, reference.clusters[i].flows)
+            << "engine " << static_cast<int>(engine) << " landmarks " << landmarks
+            << " cluster " << i;
       }
-      EXPECT_EQ(parallel.sp_computations, serial.sp_computations);
-      EXPECT_EQ(parallel.pairs_evaluated, serial.pairs_evaluated);
-      EXPECT_EQ(parallel.elb_pruned_pairs, serial.elb_pruned_pairs);
-      EXPECT_EQ(parallel.lm_pruned_pairs, serial.lm_pruned_pairs);
-      if (engine == DistanceEngine::kCh) {
-        EXPECT_GT(parallel.settled_nodes, 0u);
-      } else {
-        EXPECT_EQ(parallel.settled_nodes, serial.settled_nodes);
+      // Pruning counters may differ between landmark settings (ALT prunes
+      // more pairs); within one setting, the threaded refiner must reproduce
+      // the serial run's clusters and pruning counters exactly. settled_nodes
+      // is only exact for Dijkstra: each CH worker memoizes hub labels in its
+      // own Query, so the settled total depends on which worker the dynamic
+      // chunk scheduler hands each pair to.
+      for (const unsigned threads : {2u, 8u}) {
+        RefineConfig pcfg = cfg;
+        pcfg.threads = threads;
+        const Phase3Output parallel = Refiner(net, pcfg).refine(flows);
+        ASSERT_EQ(parallel.clusters.size(), serial.clusters.size());
+        for (std::size_t i = 0; i < serial.clusters.size(); ++i) {
+          EXPECT_EQ(parallel.clusters[i].flows, serial.clusters[i].flows);
+        }
+        EXPECT_EQ(parallel.sp_computations, serial.sp_computations);
+        EXPECT_EQ(parallel.pairs_evaluated, serial.pairs_evaluated);
+        EXPECT_EQ(parallel.elb_pruned_pairs, serial.elb_pruned_pairs);
+        EXPECT_EQ(parallel.lm_pruned_pairs, serial.lm_pruned_pairs);
+        if (engine == DistanceEngine::kDijkstra) {
+          EXPECT_EQ(parallel.settled_nodes, serial.settled_nodes);
+        } else {
+          EXPECT_GT(parallel.settled_nodes, 0u);
+        }
       }
     }
   }

@@ -3,10 +3,16 @@
 // clusterer.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
+#include "common/error.h"
 #include "core/clusterer.h"
 #include "core/fragmenter.h"
 #include "roadnet/generators.h"
 #include "sim/mobility_simulator.h"
+#include "store/columnar_store.h"
+#include "traj/columnar.h"
 
 namespace neat {
 namespace {
@@ -83,6 +89,37 @@ TEST(ParallelPhase1, FullPipelineUnchanged) {
   for (std::size_t i = 0; i < a.final_clusters.size(); ++i) {
     EXPECT_EQ(a.final_clusters[i].flows, b.final_clusters[i].flows);
   }
+}
+
+// A sample on a segment the network lacks is a typed error at every thread
+// count: a worker's exception is handed to the calling thread after the join
+// instead of escaping its std::thread (which would call std::terminate).
+TEST(ParallelPhase1, MissingSegmentThrowsNotFoundAtAnyThreadCount) {
+  const roadnet::RoadNetwork net = roadnet::make_grid(10, 10, 110.0);
+  const sim::SimConfig scfg = sim::default_config(net, 3, 3);
+  const traj::TrajectoryDataset good = sim::MobilitySimulator(net, scfg).generate(60, 15);
+  traj::TrajectoryDataset bad;
+  for (std::size_t i = 0; i < good.size(); ++i) {
+    traj::Trajectory tr = good[i];
+    if (i == 37) {
+      tr.append(traj::Location{SegmentId(999999), tr.back().pos, tr.back().t + 1.0, false});
+    }
+    bad.add(std::move(tr));
+  }
+  const std::string path = ::testing::TempDir() + "neat_parallel_phase1_bad.neatcol";
+  traj::save_columnar(bad, path);
+  const store::ColumnarTrajectoryStore cstore(path);
+
+  const Fragmenter fragmenter(net);
+  StreamingPhase1Options batches;
+  batches.batch_size = 16;
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    EXPECT_THROW((void)fragmenter.build_base_clusters(bad, threads), NotFoundError) << threads;
+    store::ColumnarTrajectorySource source(cstore);
+    EXPECT_THROW((void)fragmenter.build_base_clusters(source, threads, batches), NotFoundError)
+        << threads;
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

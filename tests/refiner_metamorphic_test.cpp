@@ -1,20 +1,20 @@
 // Metamorphic tests for the Phase 3 acceleration layer: transformations that
 // must not change the clustering.
-//  * Thread count: ParallelRefiner at 1, 2 and 8 threads reproduces the
-//    serial Refiner bit-for-bit (clusters AND instrumentation counters).
+//  * Thread count: Refiner at 1, 2 and 8 threads reproduces the serial
+//    run bit-for-bit (clusters AND instrumentation counters).
 //  * Pruning: ELB and landmark pruning on/off in every combination leaves
 //    the merge decisions unchanged — only pairs_evaluated / sp_computations
 //    may shrink when a prune is active.
-//  * Distance engine: every rung of the ladder (Dijkstra / ALT / CH /
-//    CH many-to-many table) yields identical clusters and identical
-//    engine-invariant pruning counters, at 1, 2 and 8 refine threads.
+//  * Distance engine: every engine (Dijkstra / CH / CH many-to-many table),
+//    each with landmarks off and on (Dijkstra with landmarks is ALT), yields
+//    identical clusters and identical engine-invariant pruning counters, at
+//    1, 2 and 8 refine threads.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <vector>
 
 #include "core/clusterer.h"
-#include "core/parallel_refiner.h"
 #include "roadnet/generators.h"
 #include "sim/mobility_simulator.h"
 
@@ -78,7 +78,7 @@ TEST(ParallelRefinerMetamorphic, ThreadCountNeverChangesAnything) {
       for (const unsigned threads : {1u, 2u, 8u}) {
         RefineConfig pcfg = cfg;
         pcfg.threads = threads;
-        const Phase3Output parallel = ParallelRefiner(w.net, pcfg).refine(w.flows);
+        const Phase3Output parallel = Refiner(w.net, pcfg).refine(w.flows);
         expect_identical(serial, parallel,
                          landmarks ? "landmarks on" : "landmarks off");
       }
@@ -90,9 +90,10 @@ TEST(ParallelRefinerMetamorphic, DelegatesForTinyInputs) {
   const Workload w = make_workload(8, 8, 5, 6, 20);
   RefineConfig cfg;
   cfg.epsilon = 400.0;
-  cfg.threads = 8;
-  const ParallelRefiner pr(w.net, cfg);
-  // Single flow and empty input exercise the serial-delegation path.
+  RefineConfig threaded = cfg;
+  threaded.threads = 8;
+  const Refiner pr(w.net, threaded);
+  // Single flow (no pairs) and empty input never split across workers.
   const std::vector<FlowCluster> one(w.flows.begin(), w.flows.begin() + 1);
   const Phase3Output serial = Refiner(w.net, cfg).refine(one);
   expect_identical(serial, pr.refine(one), "single flow");
@@ -180,37 +181,40 @@ TEST(DistanceEngineMetamorphic, EngineAndThreadCountNeverChangeClusters) {
 
   RefineConfig base;
   base.epsilon = 500.0;
-  base.use_landmarks = true;
-  const Phase3Output reference = Refiner(w.net, base).refine(w.flows);
+  const Phase3Output clusters_ref = Refiner(w.net, base).refine(w.flows);
 
-  for (const DistanceEngine engine :
-       {DistanceEngine::kDijkstra, DistanceEngine::kAlt, DistanceEngine::kCh,
-        DistanceEngine::kChTable}) {
-    RefineConfig cfg = base;
-    cfg.distance_engine = engine;
-    const Phase3Output serial = Refiner(w.net, cfg).refine(w.flows);
-    const char* what = engine == DistanceEngine::kChTable ? "ch-table" : "engine";
-    expect_same_clusters(reference, serial, what);
-    EXPECT_EQ(serial.elb_pruned_pairs, reference.elb_pruned_pairs) << what;
-    EXPECT_EQ(serial.lm_pruned_pairs, reference.lm_pruned_pairs) << what;
-    EXPECT_EQ(serial.pairs_evaluated, reference.pairs_evaluated) << what;
+  for (const bool landmarks : {false, true}) {
+    RefineConfig lm_cfg = base;
+    lm_cfg.use_landmarks = landmarks;  // with kDijkstra: the ALT rung
+    const Phase3Output reference = Refiner(w.net, lm_cfg).refine(w.flows);
+    for (const DistanceEngine engine :
+         {DistanceEngine::kDijkstra, DistanceEngine::kCh, DistanceEngine::kChTable}) {
+      RefineConfig cfg = lm_cfg;
+      cfg.distance_engine = engine;
+      const Phase3Output serial = Refiner(w.net, cfg).refine(w.flows);
+      const char* what = engine == DistanceEngine::kChTable ? "ch-table" : "engine";
+      expect_same_clusters(clusters_ref, serial, what);
+      EXPECT_EQ(serial.elb_pruned_pairs, reference.elb_pruned_pairs) << what;
+      EXPECT_EQ(serial.lm_pruned_pairs, reference.lm_pruned_pairs) << what;
+      EXPECT_EQ(serial.pairs_evaluated, reference.pairs_evaluated) << what;
 
-    for (const unsigned threads : {1u, 2u, 8u}) {
-      RefineConfig pcfg = cfg;
-      pcfg.threads = threads;
-      const Phase3Output parallel = ParallelRefiner(w.net, pcfg).refine(w.flows);
-      expect_same_clusters(serial, parallel, what);
-      EXPECT_EQ(parallel.sp_computations, serial.sp_computations) << what;
-      EXPECT_EQ(parallel.elb_pruned_pairs, serial.elb_pruned_pairs) << what;
-      EXPECT_EQ(parallel.lm_pruned_pairs, serial.lm_pruned_pairs) << what;
-      EXPECT_EQ(parallel.pairs_evaluated, serial.pairs_evaluated) << what;
-      // settled_nodes depends on which worker's memoized label cache each
-      // chunk lands in for the hub-label engines; it is thread-invariant
-      // only for the per-pair-independent rungs.
-      if (engine == DistanceEngine::kDijkstra || engine == DistanceEngine::kAlt) {
-        EXPECT_EQ(parallel.settled_nodes, serial.settled_nodes) << what;
-      } else {
-        EXPECT_GT(parallel.settled_nodes, 0u) << what;
+      for (const unsigned threads : {1u, 2u, 8u}) {
+        RefineConfig pcfg = cfg;
+        pcfg.threads = threads;
+        const Phase3Output parallel = Refiner(w.net, pcfg).refine(w.flows);
+        expect_same_clusters(serial, parallel, what);
+        EXPECT_EQ(parallel.sp_computations, serial.sp_computations) << what;
+        EXPECT_EQ(parallel.elb_pruned_pairs, serial.elb_pruned_pairs) << what;
+        EXPECT_EQ(parallel.lm_pruned_pairs, serial.lm_pruned_pairs) << what;
+        EXPECT_EQ(parallel.pairs_evaluated, serial.pairs_evaluated) << what;
+        // settled_nodes depends on which worker's memoized label cache each
+        // chunk lands in for the hub-label engines; it is thread-invariant
+        // only for the per-pair-independent Dijkstra/ALT searches.
+        if (engine == DistanceEngine::kDijkstra) {
+          EXPECT_EQ(parallel.settled_nodes, serial.settled_nodes) << what;
+        } else {
+          EXPECT_GT(parallel.settled_nodes, 0u) << what;
+        }
       }
     }
   }
