@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <unordered_set>
 
 #include "core/clusterer.h"
@@ -19,6 +20,12 @@ struct SweepCase {
   const char* topology;  // "lattice" | "radial"
   int seed;
 };
+
+// Without this, gtest prints the raw bytes of the case (the topology pointer
+// and padding), which change per process and leak into the discovered names.
+void PrintTo(const SweepCase& c, std::ostream* os) {
+  *os << c.topology << " seed " << c.seed;
+}
 
 roadnet::RoadNetwork make_topology(const SweepCase& c) {
   if (std::string(c.topology) == "radial") {
