@@ -1,7 +1,8 @@
 // Online traffic monitoring with incremental NEAT (paper §III-C):
 // trajectory batches arrive over time; Phases 1-2 run per batch and the
-// accumulated flow clusters are re-refined after every batch, so the
-// operator always has a fresh picture of the city's major flows.
+// new flow clusters are merged with the accumulated ones after every batch
+// (only the pairs that touch a new flow are measured), so the operator
+// always has a fresh picture of the city's major flows.
 //
 //   $ ./online_monitoring
 #include <iostream>

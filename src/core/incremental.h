@@ -7,8 +7,13 @@
 // trajectories. The new flow clusters are then merged with the available
 // flow clusters to produce compact clustering results." This class
 // implements exactly that scheme: per batch, Phases 1–2 run on the new
-// trajectories only, the resulting flows join the accumulated flow set, and
-// Phase 3 re-refines the accumulated flows.
+// trajectories only and the resulting flows join the accumulated flow set.
+// Phase 3 keeps the accumulated flows' ε-graph (neat::EpsilonGraph) across
+// batches: each batch evaluates only the pairs that touch a new flow, window
+// eviction drops the evicted flows' rows and edges, and the DBSCAN merge
+// reruns over the graph. A pair's distance depends only on its two flows, so
+// the clusters are bit-identical to a from-scratch Refiner::refine over
+// flows() after every batch.
 #pragma once
 
 #include <unordered_set>
@@ -68,6 +73,7 @@ class IncrementalClusterer {
   Refiner refiner_;
   std::vector<FlowCluster> flows_;
   std::vector<std::size_t> flow_batch_;  ///< Arrival batch index per flow.
+  EpsilonGraph graph_;                   ///< ε-graph of flows_, kept across batches.
   std::vector<FinalCluster> clusters_;
   std::unordered_set<TrajectoryId> seen_ids_;
   std::size_t batches_{0};

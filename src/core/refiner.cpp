@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <cmath>
 #include <deque>
 #include <limits>
 #include <optional>
@@ -28,13 +29,23 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// deterministic counter — are identical at any thread count. Large enough
 /// to amortize the claim atomic and the per-chunk table fill, small enough
 /// that an unlucky worker stuck with expensive pairs cannot stall the others
-/// at the end of the matrix.
+/// at the end of the range.
 constexpr std::size_t kPairChunk = 64;
 
-/// Adds one Phase-3 run's work counters to the global metric registry —
-/// one bulk update so the per-pair hot loop never touches shared atomics.
-void add_phase3_metrics(const Phase3Output& out, std::size_t total_pairs,
-                        bool landmarks_enabled) {
+/// Number of pairs (i, j) with i < j < n. Pairs are enumerated in column
+/// order, so pair (i, j) has index pairs_below(j) + i.
+std::size_t pairs_below(std::size_t n) { return n * (n - 1) / 2; }  // 0 at n = 0 too
+
+/// Workers for `pairs` pair evaluations: never more than there are 64-pair
+/// chunks, so no worker starts without a chunk to claim.
+unsigned pair_workers(unsigned threads, std::size_t pairs) {
+  const std::size_t chunks = (pairs + kPairChunk - 1) / kPairChunk;
+  return static_cast<unsigned>(std::min<std::size_t>(std::max(1u, threads), chunks));
+}
+
+/// Adds one pair step's work counters to the global metric registry — one
+/// bulk update so the per-pair hot loop never touches shared atomics.
+void add_pair_metrics(const Phase3Output& out, std::size_t total_pairs, bool landmarks_enabled) {
   obs::Registry& reg = obs::Registry::global();
   reg.counter("neat_core_pairs_total").add(total_pairs);
   reg.counter("neat_core_pairs_evaluated_total").add(out.pairs_evaluated);
@@ -48,7 +59,6 @@ void add_phase3_metrics(const Phase3Output& out, std::size_t total_pairs,
     reg.counter("neat_core_lm_bound_checks_total").add(total_pairs - out.elb_pruned_pairs);
     reg.counter("neat_core_lm_bound_hits_total").add(out.lm_pruned_pairs);
   }
-  reg.counter("neat_core_final_clusters_total").add(out.clusters.size());
 }
 
 }  // namespace
@@ -63,7 +73,7 @@ struct Refiner::DistanceContext {
   std::optional<roadnet::CHTableEngine> table;
   // Batched-table scratch of fill_pair_distances, reused across chunks.
   // Kept beside the engines so the spans handed to table() are per-thread
-  // and provably disjoint from the shared condensed matrix.
+  // and provably disjoint from the shared per-pair flags.
   std::vector<NodeId> table_sources;
   std::vector<NodeId> table_targets;
   std::vector<double> table_cells;
@@ -273,27 +283,26 @@ double Refiner::refine_pair_distance(const FlowCluster& a, const FlowCluster& b,
 }
 
 void Refiner::fill_pair_distances(const std::vector<FlowCluster>& flows, std::size_t begin,
-                                  std::size_t end, DistanceContext& ctx,
-                                  std::span<double> pair_dist,
+                                  std::size_t end, DistanceContext& ctx, std::span<char> within,
                                   Phase3Output& counters) const {
-  const std::size_t n = flows.size();
-  // Recover (i, j) from the condensed index p = i*n - i*(i+1)/2 + (j-i-1) by
-  // walking rows; the range is contiguous, so the walk is amortized O(1) per
-  // pair.
-  const auto row_end = [&](std::size_t i) { return (i + 1) * n - (i + 1) * (i + 2) / 2; };
-  std::size_t i = 0;
-  while (row_end(i) <= begin) ++i;
-  std::size_t j = i + 1 + (begin - (i * n - i * (i + 1) / 2));
+  // Recover (i, j) from p = j * (j - 1) / 2 + i, then walk; the range is
+  // contiguous, so the walk is O(1) per pair.
+  const double root = std::sqrt(1.0 + 8.0 * static_cast<double>(begin));
+  auto j = static_cast<std::size_t>((1.0 + root) / 2.0);
+  while (pairs_below(j) > begin) --j;
+  while (pairs_below(j + 1) <= begin) ++j;
+  std::size_t i = begin - pairs_below(j);
   const auto advance = [&] {
-    if (++j == n) {
-      ++i;
-      j = i + 1;
+    if (++i == j) {
+      ++j;
+      i = 0;
     }
   };
+  const auto store = [&](std::size_t p, double d) { within[p - begin] = d <= config_.epsilon; };
 
   if (!ctx.table || config_.distance_mode != FlowDistanceMode::kEndpoints) {
     for (std::size_t p = begin; p < end; ++p) {
-      pair_dist[p] = refine_pair_distance(flows[i], flows[j], ctx, counters);
+      store(p, refine_pair_distance(flows[i], flows[j], ctx, counters));
       advance();
     }
     return;
@@ -316,7 +325,7 @@ void Refiner::fill_pair_distances(const std::vector<FlowCluster>& flows, std::si
   survivors.reserve(end - begin);
   for (std::size_t p = begin; p < end; ++p) {
     if (pair_pruned(flows[i], flows[j], ctx.lm, counters)) {
-      pair_dist[p] = kInf;
+      store(p, kInf);
     } else {
       survivors.push_back(Survivor{p, i, j});
     }
@@ -343,26 +352,109 @@ void Refiner::fill_pair_distances(const std::vector<FlowCluster>& flows, std::si
   for (std::size_t k = 0; k < survivors.size(); ++k) {
     const double* row1 = ctx.table_cells.data() + (2 * k) * stride;
     const double* row2 = ctx.table_cells.data() + (2 * k + 1) * stride;
-    pair_dist[survivors[k].p] = hausdorff_from_parts(row1[2 * k], row1[2 * k + 1],
-                                                     row2[2 * k], row2[2 * k + 1]);
+    store(survivors[k].p,
+          hausdorff_from_parts(row1[2 * k], row1[2 * k + 1], row2[2 * k], row2[2 * k + 1]));
     ++counters.pairs_evaluated;
   }
 }
 
-namespace {
+void EpsilonGraph::drop_front(std::size_t count) {
+  NEAT_EXPECT(count <= rows.size(), "EpsilonGraph: cannot drop more flows than it holds");
+  rows.erase(rows.begin(), rows.begin() + static_cast<std::ptrdiff_t>(count));
+  first += count;
+  // Rows are ascending, so the edges to dropped flows are each row's prefix.
+  for (std::vector<std::size_t>& row : rows) {
+    row.erase(row.begin(), std::lower_bound(row.begin(), row.end(), first));
+  }
+}
 
-/// The deterministic DBSCAN merge over a finished condensed pair-distance
-/// matrix: the entry for pair (i, j), i < j, lives at index
-/// i * n - i * (i + 1) / 2 + (j - i - 1).
-std::vector<FinalCluster> cluster_from_pair_distances(const std::vector<FlowCluster>& flows,
-                                                      std::span<const double> pair_distances,
-                                                      const RefineConfig& config) {
+Phase3Output Refiner::extend_epsilon_graph(const std::vector<FlowCluster>& flows,
+                                           std::size_t first_new, EpsilonGraph& graph) const {
   const std::size_t n = flows.size();
+  NEAT_EXPECT(first_new <= n && graph.rows.size() == first_new,
+              "Refiner: the ε-graph must hold exactly the flows before first_new");
+  // The new pairs are a suffix of the column order: every (i, j) with
+  // j >= first_new.
+  const std::size_t first_pair = pairs_below(first_new);
+  const std::size_t pairs = pairs_below(n) - first_pair;
+  const unsigned workers = pair_workers(config_.threads, pairs);
 
-  const auto pair_distance = [&](std::size_t i, std::size_t j) {
-    if (i > j) std::swap(i, j);
-    return pair_distances[i * n - i * (i + 1) / 2 + (j - i - 1)];
-  };
+  // Build the shared accelerators (landmark tables, contraction hierarchy)
+  // on the calling thread; the workers only read them.
+  static_cast<void>(landmark_oracle());
+  static_cast<void>(ch_engine());
+
+  obs::ScopedSpan span("phase3.pair_distances");
+  span.arg("pairs", static_cast<std::uint64_t>(pairs));
+  span.arg("threads", static_cast<std::uint64_t>(workers));
+  std::vector<char> within(pairs);
+  std::vector<Phase3Output> counters(workers);
+  std::atomic<std::size_t> next{0};
+  if (workers > 0) {
+    detail::run_workers(workers, [&](unsigned w) {
+      if (workers > 1) obs::Tracer::global().set_thread_name(str_cat("refine-worker-", w));
+      // One span per worker: the trace shows every worker's lifetime side by
+      // side, with its share of the prune/search work as args.
+      obs::ScopedSpan worker_span("phase3.worker");
+      worker_span.arg("worker", static_cast<std::uint64_t>(w));
+      DistanceContext ctx = make_context();
+      // Stack-local counters avoid false sharing between workers' slots of
+      // the shared vector; stored once at the end.
+      Phase3Output local;
+      std::size_t claimed = 0;
+      for (;;) {
+        const std::size_t begin = next.fetch_add(kPairChunk, std::memory_order_relaxed);
+        if (begin >= pairs) break;
+        const std::size_t end = std::min(begin + kPairChunk, pairs);
+        claimed += end - begin;
+        // Chunks never overlap, so concurrent writes into `within` are
+        // disjoint.
+        fill_pair_distances(flows, first_pair + begin, first_pair + end, ctx,
+                            std::span<char>(within).subspan(begin, end - begin), local);
+      }
+      worker_span.arg("pairs_claimed", static_cast<std::uint64_t>(claimed));
+      worker_span.arg("pairs_evaluated", static_cast<std::uint64_t>(local.pairs_evaluated));
+      worker_span.arg("elb_pruned", static_cast<std::uint64_t>(local.elb_pruned_pairs));
+      worker_span.arg("lm_pruned", static_cast<std::uint64_t>(local.lm_pruned_pairs));
+      worker_span.arg("sp_computations", static_cast<std::uint64_t>(local.sp_computations));
+      counters[w] = std::move(local);
+    });
+  }
+  // Counters are order-independent sums, so the totals do not depend on how
+  // chunks were interleaved — except settled_nodes under kCh/kChTable, where
+  // each worker memoizes hub labels.
+  Phase3Output out;
+  for (const Phase3Output& c : counters) {
+    out.sp_computations += c.sp_computations;
+    out.elb_pruned_pairs += c.elb_pruned_pairs;
+    out.lm_pruned_pairs += c.lm_pruned_pairs;
+    out.pairs_evaluated += c.pairs_evaluated;
+    out.settled_nodes += c.settled_nodes;
+  }
+  span.arg("elb_pruned", static_cast<std::uint64_t>(out.elb_pruned_pairs));
+  span.arg("lm_pruned", static_cast<std::uint64_t>(out.lm_pruned_pairs));
+  span.arg("sp_computations", static_cast<std::uint64_t>(out.sp_computations));
+  add_pair_metrics(out, pairs, config_.use_landmarks);
+
+  // Link in column order: row j gains its lower neighbours ascending, and
+  // every row gains j only after all smaller indices, so rows stay sorted.
+  graph.rows.resize(n);
+  std::size_t p = 0;
+  for (std::size_t j = first_new; j < n; ++j) {
+    for (std::size_t i = 0; i < j; ++i, ++p) {
+      if (within[p] == 0) continue;
+      graph.rows[i].push_back(graph.first + j);
+      graph.rows[j].push_back(graph.first + i);
+    }
+  }
+  return out;
+}
+
+std::vector<FinalCluster> Refiner::cluster_epsilon_graph(const std::vector<FlowCluster>& flows,
+                                                         const EpsilonGraph& graph) const {
+  const std::size_t n = flows.size();
+  NEAT_EXPECT(graph.rows.size() == n, "Refiner: the ε-graph needs one row per flow");
+  obs::ScopedSpan span("phase3.cluster");
 
   // Deterministic processing order: longest representative route first
   // (paper modification 4), ties on the original flow index.
@@ -377,10 +469,19 @@ std::vector<FinalCluster> cluster_from_pair_distances(const std::vector<FlowClus
 
   // ε-neighborhood of flow i (includes i itself), ascending indices.
   const auto region_query = [&](std::size_t i) {
+    const std::vector<std::size_t>& row = graph.rows[i];
     std::vector<std::size_t> region;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (j == i || pair_distance(i, j) <= config.epsilon) region.push_back(j);
+    region.reserve(row.size() + 1);
+    bool self_placed = false;
+    for (const std::size_t serial : row) {
+      const std::size_t j = serial - graph.first;
+      if (!self_placed && j > i) {
+        region.push_back(i);
+        self_placed = true;
+      }
+      region.push_back(j);
     }
+    if (!self_placed) region.push_back(i);
     return region;
   };
 
@@ -393,7 +494,7 @@ std::vector<FinalCluster> cluster_from_pair_distances(const std::vector<FlowClus
   for (const std::size_t seed : order) {
     if (label[seed] != kUnclassified) continue;
     const std::vector<std::size_t> region = region_query(seed);
-    if (region.size() < static_cast<std::size_t>(config.min_pts)) {
+    if (region.size() < static_cast<std::size_t>(config_.min_pts)) {
       label[seed] = kNoise;
       continue;
     }
@@ -414,7 +515,7 @@ std::vector<FinalCluster> cluster_from_pair_distances(const std::vector<FlowClus
       label[cur] = cluster_id;
       groups[cluster_id].push_back(cur);
       const std::vector<std::size_t> sub_region = region_query(cur);
-      if (sub_region.size() >= static_cast<std::size_t>(config.min_pts)) {
+      if (sub_region.size() >= static_cast<std::size_t>(config_.min_pts)) {
         for (const std::size_t nb : sub_region) {
           if (label[nb] == kUnclassified || label[nb] == kNoise) frontier.push_back(nb);
         }
@@ -442,78 +543,19 @@ std::vector<FinalCluster> cluster_from_pair_distances(const std::vector<FlowClus
     }
     clusters.push_back(std::move(fc));
   }
+  obs::Registry::global().counter("neat_core_final_clusters_total").add(clusters.size());
   return clusters;
 }
-
-}  // namespace
 
 Phase3Output Refiner::refine(const std::vector<FlowCluster>& flows) const {
   const std::size_t n = flows.size();
   if (n == 0) return {};
-  const std::size_t total_pairs = n * (n - 1) / 2;
-  const unsigned workers = static_cast<unsigned>(
-      std::min<std::size_t>(std::max(1u, config_.threads), std::max<std::size_t>(1, total_pairs)));
   obs::ScopedSpan span("phase3.refine");
   span.arg("flows", static_cast<std::uint64_t>(n));
-  span.arg("threads", static_cast<std::uint64_t>(workers));
-
-  // Build the shared accelerators (landmark tables, contraction hierarchy)
-  // on the calling thread; the workers only read them.
-  static_cast<void>(landmark_oracle());
-  static_cast<void>(ch_engine());
-
-  std::vector<double> pair_dist(total_pairs);
-  std::vector<Phase3Output> counters(workers);
-  Phase3Output out;
-  {
-    obs::ScopedSpan pairs_span("phase3.pair_distances");
-    std::atomic<std::size_t> next{0};
-    detail::run_workers(workers, [&](unsigned w) {
-      if (workers > 1) obs::Tracer::global().set_thread_name(str_cat("refine-worker-", w));
-      // One span per worker: the trace shows every worker's lifetime side by
-      // side, with its share of the prune/search work as args.
-      obs::ScopedSpan worker_span("phase3.worker");
-      worker_span.arg("worker", static_cast<std::uint64_t>(w));
-      DistanceContext ctx = make_context();
-      // Stack-local counters avoid false sharing between workers' slots of
-      // the shared vector; stored once at the end.
-      Phase3Output local;
-      std::size_t claimed = 0;
-      for (;;) {
-        const std::size_t begin = next.fetch_add(kPairChunk, std::memory_order_relaxed);
-        if (begin >= total_pairs) break;
-        const std::size_t end = std::min(begin + kPairChunk, total_pairs);
-        claimed += end - begin;
-        // Chunks never overlap, so concurrent writes into pair_dist are
-        // disjoint.
-        fill_pair_distances(flows, begin, end, ctx, pair_dist, local);
-      }
-      worker_span.arg("pairs_claimed", static_cast<std::uint64_t>(claimed));
-      worker_span.arg("pairs_evaluated", static_cast<std::uint64_t>(local.pairs_evaluated));
-      worker_span.arg("elb_pruned", static_cast<std::uint64_t>(local.elb_pruned_pairs));
-      worker_span.arg("lm_pruned", static_cast<std::uint64_t>(local.lm_pruned_pairs));
-      worker_span.arg("sp_computations", static_cast<std::uint64_t>(local.sp_computations));
-      counters[w] = std::move(local);
-    });
-    // Counters are order-independent sums, so the totals do not depend on
-    // how chunks were interleaved — except settled_nodes under kCh/kChTable,
-    // where each worker memoizes hub labels.
-    for (const Phase3Output& c : counters) {
-      out.sp_computations += c.sp_computations;
-      out.elb_pruned_pairs += c.elb_pruned_pairs;
-      out.lm_pruned_pairs += c.lm_pruned_pairs;
-      out.pairs_evaluated += c.pairs_evaluated;
-      out.settled_nodes += c.settled_nodes;
-    }
-    pairs_span.arg("pairs", static_cast<std::uint64_t>(total_pairs));
-    pairs_span.arg("elb_pruned", static_cast<std::uint64_t>(out.elb_pruned_pairs));
-    pairs_span.arg("lm_pruned", static_cast<std::uint64_t>(out.lm_pruned_pairs));
-    pairs_span.arg("sp_computations", static_cast<std::uint64_t>(out.sp_computations));
-  }
-
-  obs::ScopedSpan merge_span("phase3.cluster");
-  out.clusters = cluster_from_pair_distances(flows, pair_dist, config_);
-  add_phase3_metrics(out, total_pairs, config_.use_landmarks);
+  span.arg("threads", static_cast<std::uint64_t>(pair_workers(config_.threads, pairs_below(n))));
+  EpsilonGraph graph;
+  Phase3Output out = extend_epsilon_graph(flows, 0, graph);
+  out.clusters = cluster_epsilon_graph(flows, graph);
   span.arg("final_clusters", static_cast<std::uint64_t>(out.clusters.size()));
   return out;
 }

@@ -121,6 +121,20 @@ struct Phase3Output {
   std::size_t settled_nodes{0};     ///< Nodes settled across all searches (work proxy).
 };
 
+/// The ε-graph of a flow set: the flow similarity graph of El Mahrsi &
+/// Rossi's graph-based trajectory clustering, thresholded at ε. Row i lists
+/// the other flows whose distance to flow i is <= ε, ascending. Entries are
+/// flow serial numbers: flow index i has serial `first + i`. A caller that
+/// drops a prefix of its flows (a sliding window) keeps every surviving edge
+/// by calling drop_front(), which bumps `first` instead of renumbering.
+struct EpsilonGraph {
+  std::size_t first{0};                        ///< Serial number of flow index 0.
+  std::vector<std::vector<std::size_t>> rows;  ///< Neighbour serials per flow.
+
+  /// Removes the first `count` flows: their rows and every edge to them.
+  void drop_front(std::size_t count);
+};
+
 /// The modified Hausdorff distance of Definition 11 given the four pairwise
 /// endpoint distances d(a_i, b_j). Exposed for tests.
 [[nodiscard]] double hausdorff_from_parts(double d11, double d12, double d21, double d22);
@@ -134,15 +148,27 @@ class Refiner {
   /// landmark tables are built lazily on first use.
   Refiner(const roadnet::RoadNetwork& net, RefineConfig config);
 
-  /// Runs the refinement over the given flows. The DBSCAN merge queries the
-  /// ε-neighborhood of every flow exactly once, so the full condensed
-  /// pair-distance matrix is evaluated up front — split across
-  /// RefineConfig::threads workers that claim fixed 64-pair chunks and keep
-  /// private search workspaces and counters — and the merge then runs
-  /// serially on it. Deterministic: clusters and counters are bit-identical
-  /// at any thread count, except settled_nodes under the CH engines, whose
-  /// per-worker label memos make it depend on which worker claims a chunk.
+  /// Runs the refinement over the given flows: extend_epsilon_graph() over
+  /// every pair, then cluster_epsilon_graph(). Deterministic: clusters and
+  /// counters are bit-identical at any thread count, except settled_nodes
+  /// under the CH engines, whose per-worker label memos make it depend on
+  /// which worker claims a chunk.
   [[nodiscard]] Phase3Output refine(const std::vector<FlowCluster>& flows) const;
+
+  /// Phase 3 step (a): adds flows [first_new, flows.size()) to `graph`, whose
+  /// rows must cover exactly flows [0, first_new). Evaluates every pair (i, j)
+  /// with i < j and j >= first_new — in column order, j ascending then i
+  /// ascending, cut into fixed 64-pair chunks that min(RefineConfig::threads,
+  /// chunks) workers claim with private search workspaces — and links the
+  /// pairs with d <= ε in both rows, keeping every row ascending. Returns the
+  /// work counters of these pairs only (no clusters).
+  Phase3Output extend_epsilon_graph(const std::vector<FlowCluster>& flows,
+                                    std::size_t first_new, EpsilonGraph& graph) const;
+
+  /// Phase 3 step (b): the deterministic DBSCAN merge over a finished
+  /// ε-graph of `flows` (one row per flow).
+  [[nodiscard]] std::vector<FinalCluster> cluster_epsilon_graph(
+      const std::vector<FlowCluster>& flows, const EpsilonGraph& graph) const;
 
   /// Network (modified Hausdorff) distance between two flow clusters under
   /// the configured mode, computed with a fresh oracle. For tests/tools.
@@ -201,11 +227,12 @@ class Refiner {
   double refine_pair_distance(const FlowCluster& a, const FlowCluster& b, DistanceContext& ctx,
                               Phase3Output& counters) const;
 
-  /// Evaluates the condensed-matrix entries [begin, end) into the matching
-  /// slots of `pair_dist` (the full matrix). Under kChTable (endpoint mode)
-  /// the range's surviving pairs are answered by one table() fill.
+  /// Evaluates the pairs [begin, end) of the column-order enumeration (pair
+  /// p = j * (j - 1) / 2 + i for i < j) and stores whether each is within ε
+  /// in `within[p - begin]`. Under kChTable (endpoint mode) the range's
+  /// surviving pairs are answered by one table() fill.
   void fill_pair_distances(const std::vector<FlowCluster>& flows, std::size_t begin,
-                           std::size_t end, DistanceContext& ctx, std::span<double> pair_dist,
+                           std::size_t end, DistanceContext& ctx, std::span<char> within,
                            Phase3Output& counters) const;
 
   /// Applies the admissible ELB and landmark prunes to one pair, bumping the

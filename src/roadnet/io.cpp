@@ -1,5 +1,6 @@
 #include "roadnet/io.h"
 
+#include <cstdint>
 #include <fstream>
 #include <vector>
 
@@ -30,6 +31,45 @@ void save_network(const RoadNetwork& net, const std::string& path) {
   save_network(net, out);
 }
 
+namespace {
+
+/// Parses a node or segment id, rejecting any outside [0, kMaxNetworkId]
+/// before it can size an array.
+std::int32_t parse_id(const std::string& field, const char* what) {
+  const std::int64_t id = parse_int(field);
+  if (id < 0 || id > kMaxNetworkId) {
+    throw ParseError(str_cat(what, " ", id, " is outside [0, ", kMaxNetworkId, "]"));
+  }
+  return static_cast<std::int32_t>(id);
+}
+
+void parse_row(const std::vector<std::string>& row, std::vector<Node>& nodes,
+               std::vector<Segment>& segments) {
+  const std::string& kind = row[0];
+  if (kind == "node") {
+    if (row.size() != 4) throw ParseError("node row needs 4 fields");
+    const auto id = static_cast<std::size_t>(parse_id(row[1], "node id"));
+    const Node node{{parse_double(row[2]), parse_double(row[3])}};
+    if (nodes.size() <= id) nodes.resize(id + 1);
+    nodes[id] = node;
+  } else if (kind == "segment") {
+    if (row.size() != 7) throw ParseError("segment row needs 7 fields");
+    const auto id = static_cast<std::size_t>(parse_id(row[1], "segment id"));
+    Segment s;
+    s.a = NodeId(parse_id(row[2], "endpoint node id"));
+    s.b = NodeId(parse_id(row[3], "endpoint node id"));
+    s.length = parse_double(row[4]);
+    s.speed_limit = parse_double(row[5]);
+    s.bidirectional = parse_int(row[6]) != 0;
+    if (segments.size() <= id) segments.resize(id + 1);
+    segments[id] = s;
+  } else {
+    throw ParseError(str_cat("unknown row kind '", kind, "'"));
+  }
+}
+
+}  // namespace
+
 RoadNetwork load_network(std::istream& in) {
   CsvReader reader(in);
   std::vector<std::string> row;
@@ -39,27 +79,10 @@ RoadNetwork load_network(std::istream& in) {
   while (reader.read_row(row)) {
     ++line;
     if (row.empty() || (row.size() == 1 && trim(row[0]).empty())) continue;
-    const std::string& kind = row[0];
-    if (kind == "node") {
-      if (row.size() != 4) throw ParseError(str_cat("line ", line, ": node row needs 4 fields"));
-      const auto id = static_cast<std::size_t>(parse_int(row[1]));
-      if (nodes.size() <= id) nodes.resize(id + 1);
-      nodes[id] = Node{{parse_double(row[2]), parse_double(row[3])}};
-    } else if (kind == "segment") {
-      if (row.size() != 7) {
-        throw ParseError(str_cat("line ", line, ": segment row needs 7 fields"));
-      }
-      const auto id = static_cast<std::size_t>(parse_int(row[1]));
-      if (segments.size() <= id) segments.resize(id + 1);
-      Segment s;
-      s.a = NodeId(static_cast<std::int32_t>(parse_int(row[2])));
-      s.b = NodeId(static_cast<std::int32_t>(parse_int(row[3])));
-      s.length = parse_double(row[4]);
-      s.speed_limit = parse_double(row[5]);
-      s.bidirectional = parse_int(row[6]) != 0;
-      segments[id] = s;
-    } else {
-      throw ParseError(str_cat("line ", line, ": unknown row kind '", kind, "'"));
+    try {
+      parse_row(row, nodes, segments);
+    } catch (const ParseError& e) {
+      throw ParseError(str_cat("line ", line, ": ", e.what()));
     }
   }
   // Serialization rounds coordinates and lengths independently, so a stored

@@ -6,12 +6,18 @@
 // Rows may appear in any order but ids must be dense and consistent.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 
 #include "roadnet/road_network.h"
 
 namespace neat::roadnet {
+
+/// Largest node or segment id a network file may use (2^24 - 1). Ids index
+/// dense arrays, so the cap bounds what a single row can make the loader
+/// allocate; it is far above any city-scale network.
+inline constexpr std::int64_t kMaxNetworkId = (std::int64_t{1} << 24) - 1;
 
 /// Writes the network to a stream in the CSV format above.
 void save_network(const RoadNetwork& net, std::ostream& out);
@@ -20,7 +26,9 @@ void save_network(const RoadNetwork& net, std::ostream& out);
 /// opened.
 void save_network(const RoadNetwork& net, const std::string& path);
 
-/// Reads a network from a stream. Throws neat::ParseError on malformed data.
+/// Reads a network from a stream. Throws neat::ParseError, naming the line,
+/// on malformed data, including a node, segment or endpoint id that is
+/// negative or above kMaxNetworkId.
 [[nodiscard]] RoadNetwork load_network(std::istream& in);
 
 /// Reads a network from a file. Throws neat::Error when the file cannot be

@@ -1,6 +1,7 @@
 #include "traj/io.h"
 
 #include <array>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -34,11 +35,19 @@ bool split_row7(std::string_view line, std::array<std::string_view, 7>& fields) 
   return n == 7;
 }
 
+double parse_finite(std::string_view field, const char* name) {
+  const double value = parse_double(field);
+  if (!std::isfinite(value)) {
+    throw ParseError(str_cat(name, " must be finite, got '", trim(field), "'"));
+  }
+  return value;
+}
+
 Location parse_location(const std::array<std::string_view, 7>& row) {
   Location loc;
   loc.sid = SegmentId(static_cast<std::int32_t>(parse_int(row[2])));
-  loc.pos = {parse_double(row[3]), parse_double(row[4])};
-  loc.t = parse_double(row[5]);
+  loc.pos = {parse_finite(row[3], "x"), parse_finite(row[4], "y")};
+  loc.t = parse_finite(row[5], "t");
   loc.junction_point = parse_int(row[6]) != 0;
   return loc;
 }
@@ -89,7 +98,14 @@ void for_each_trajectory(std::istream& in, const std::function<void(Trajectory&&
     } else if (!split_row7(view, row)) {
       throw ParseError(str_cat("line ", line_no, ": location row needs 7 fields"));
     }
-    const auto trid = TrajectoryId(parse_int(row[0]));
+    TrajectoryId trid;
+    Location loc;
+    try {
+      trid = TrajectoryId(parse_int(row[0]));
+      loc = parse_location(row);
+    } catch (const ParseError& e) {
+      throw ParseError(str_cat("line ", line_no, ": ", e.what()));
+    }
     if (!has_current || current.id() != trid) {
       if (has_current) {
         prev_size = current.size();
@@ -100,7 +116,7 @@ void for_each_trajectory(std::istream& in, const std::function<void(Trajectory&&
       has_current = true;
     }
     try {
-      current.append(parse_location(row));
+      current.append(loc);
     } catch (const PreconditionError& e) {
       throw ParseError(str_cat("line ", line_no, ": ", e.what()));
     }

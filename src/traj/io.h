@@ -25,7 +25,8 @@ void save_dataset(const TrajectoryDataset& data, const std::string& path);
 /// CSV -> columnar converter (only one trajectory is in flight at a time).
 /// Rows are parsed with std::from_chars and no per-field allocation; rows
 /// containing quoted fields fall back to the RFC-4180 CSV reader. Throws
-/// neat::ParseError on malformed data.
+/// neat::ParseError, naming the line, on malformed data, including an x, y
+/// or t that is not finite (nan, inf).
 void for_each_trajectory(std::istream& in, const std::function<void(Trajectory&&)>& fn);
 
 /// Reads a dataset from a stream. Throws neat::ParseError on malformed data.

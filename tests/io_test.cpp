@@ -175,6 +175,37 @@ TEST(DatasetIo, RejectsMalformedRows) {
   EXPECT_THROW(traj::load_dataset(ss2), ParseError);
 }
 
+// Loads `csv` and returns the ParseError's message ("" when none is thrown).
+std::string dataset_parse_error(const std::string& csv) {
+  std::stringstream ss(csv);
+  try {
+    static_cast<void>(traj::load_dataset(ss));
+  } catch (const ParseError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(DatasetIo, RejectsNonFiniteValuesWithTheLine) {
+  // A good first trajectory, then a bad value on the second trajectory's
+  // first row (line 3), where no ordering check would catch it.
+  const std::string head = "1,0,0,1.5,2.5,0.0,0\n1,1,0,1.5,3.5,1.0,0\n";
+  const std::vector<std::string> bad_rows = {
+      "2,0,0,nan,2.5,0.0,0\n",  "2,0,0,1.5,inf,0.0,0\n",   "2,0,0,1.5,2.5,nan,0\n",
+      "2,0,0,-inf,2.5,0.0,0\n", "2,0,0,1.5,2.5,-nan,0\n", "2,0,0,1.5,2.5,infinity,0\n"};
+  for (const std::string& row : bad_rows) {
+    const std::string msg = dataset_parse_error(head + row);
+    EXPECT_NE(msg.find("line 3"), std::string::npos) << row << msg;
+    EXPECT_NE(msg.find("finite"), std::string::npos) << row << msg;
+    // The same row with a quoted field takes the RFC-4180 reader path.
+    const std::string quoted = "\"2\"" + row.substr(1);
+    const std::string qmsg = dataset_parse_error(head + quoted);
+    EXPECT_NE(qmsg.find("line 3"), std::string::npos) << quoted << qmsg;
+    EXPECT_NE(qmsg.find("finite"), std::string::npos) << quoted << qmsg;
+  }
+  EXPECT_EQ(dataset_parse_error(head), "");
+}
+
 TEST(DatasetIo, EmptyStreamGivesEmptyDataset) {
   std::stringstream ss;
   EXPECT_TRUE(traj::load_dataset(ss).empty());

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
 #include <sstream>
 
 #include "common/csv.h"
@@ -15,6 +16,7 @@
 #include "core/refiner.h"
 #include "roadnet/builder.h"
 #include "roadnet/generators.h"
+#include "roadnet/io.h"
 #include "test_util.h"
 #include "traj/io.h"
 
@@ -71,6 +73,55 @@ TEST_P(CsvFuzz, ArbitraryFieldsRoundTrip) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CsvFuzz, ::testing::Range(0, 10));
+
+// --- network CSV ids ----------------------------------------------------------
+
+// The golden network file with `row` appended, loaded by path the way
+// neat_cli loads it. Returns the ParseError's message ("" when it loads).
+std::string golden_network_with(const std::string& row) {
+  const std::string src = std::string(NEAT_TEST_DATA_DIR) + "/golden_network.csv";
+  const std::string path = ::testing::TempDir() + "robustness_network.csv";
+  {
+    std::ifstream in(src);
+    std::ofstream out(path);
+    out << in.rdbuf() << row << "\n";
+  }
+  try {
+    static_cast<void>(roadnet::load_network(path));
+  } catch (const ParseError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+std::size_t golden_network_lines() {
+  std::ifstream in(std::string(NEAT_TEST_DATA_DIR) + "/golden_network.csv");
+  std::size_t lines = 0;
+  for (std::string line; std::getline(in, line);) ++lines;
+  return lines;
+}
+
+TEST(NetworkCsvIds, NegativeAndHugeIdsAreTypedErrors) {
+  // A negative id must not wrap to a huge size_t index, and a huge one must
+  // not reach an allocation: both are rejected before any resize.
+  const std::string line = "line " + std::to_string(golden_network_lines() + 1) + ":";
+  const std::vector<std::string> rows = {
+      "node,-1,1.0,2.0",
+      "node,100000000000,1.0,2.0",
+      "node,16777216,1.0,2.0",  // one above the documented cap
+      "segment,-1,0,1,100.0,10.0,1",
+      "segment,100000000000,0,1,100.0,10.0,1",
+      "segment,0,-1,1,100.0,10.0,1",
+      "segment,0,0,4294967297,100.0,10.0,1",  // truncated to node 1 by an int32 cast
+  };
+  for (const std::string& row : rows) {
+    const std::string msg = golden_network_with(row);
+    EXPECT_EQ(msg.rfind(line, 0), 0u) << row << " -> " << msg;
+    EXPECT_NE(msg.find("is outside [0, 16777215]"), std::string::npos) << row << " -> " << msg;
+  }
+  EXPECT_EQ(roadnet::kMaxNetworkId, 16777215);
+  EXPECT_EQ(golden_network_with(""), "");
+}
 
 // --- geometry property -------------------------------------------------------
 
