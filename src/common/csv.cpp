@@ -4,6 +4,7 @@
 #include <ostream>
 
 #include "common/error.h"
+#include "common/string_util.h"
 
 namespace neat {
 
@@ -28,44 +29,84 @@ void CsvWriter::write_row(const std::vector<std::string>& fields) {
   out_ << '\n';
 }
 
-bool CsvReader::read_row(std::vector<std::string>& fields) {
-  fields.clear();
-  std::string field;
-  bool in_quotes = false;
-  bool saw_any = false;
-  char c = 0;
-  while (in_.get(c)) {
-    saw_any = true;
-    if (in_quotes) {
-      if (c == '"') {
-        if (in_.peek() == '"') {
-          in_.get(c);
-          field += '"';
-        } else {
-          in_quotes = false;
+bool CsvReader::read_row(std::vector<std::string_view>& fields) {
+  if (!std::getline(in_, buf_)) return false;
+  row_line_ = ++line_;
+  if (buf_.find('"') != std::string::npos) {
+    split_quoted(fields);
+    return true;
+  }
+  if (!buf_.empty() && buf_.back() == '\r') buf_.pop_back();
+  split(buf_, sep_, fields);
+  return true;
+}
+
+// Unescapes the row in place: the write cursor `w` never passes the read
+// cursor `r`, and a continuation line is appended behind both. Fields are
+// kept as offsets until the end because appending may move the buffer.
+void CsvReader::split_quoted(std::vector<std::string_view>& fields) {
+  const auto fail = [this](const char* what) {
+    throw ParseError(str_cat("line ", row_line_, ": ", what));
+  };
+  // A '\r' that ends a physical line outside quotes is a line terminator.
+  const auto at_line_end = [this](std::size_t r) {
+    return r == buf_.size() || (r + 1 == buf_.size() && buf_[r] == '\r');
+  };
+  std::vector<std::size_t> bounds;  // [begin, end) of each field
+  std::string next;
+  std::size_t r = 0;
+  std::size_t w = 0;
+  while (true) {
+    const std::size_t begin = w;
+    if (r < buf_.size() && buf_[r] == '"') {
+      ++r;
+      while (true) {
+        if (r == buf_.size()) {
+          if (!std::getline(in_, next)) fail("unterminated quoted CSV field");
+          ++line_;
+          buf_ += '\n';
+          buf_ += next;
         }
-      } else {
-        field += c;
+        const char c = buf_[r++];
+        if (c != '"') {
+          buf_[w++] = c;
+        } else if (r < buf_.size() && buf_[r] == '"') {
+          buf_[w++] = '"';
+          ++r;
+        } else {
+          break;
+        }
       }
-    } else if (c == '"') {
-      if (!field.empty()) throw ParseError("quote in the middle of an unquoted CSV field");
-      in_quotes = true;
-    } else if (c == sep_) {
-      fields.push_back(std::move(field));
-      field.clear();
-    } else if (c == '\n') {
-      fields.push_back(std::move(field));
-      return true;
-    } else if (c == '\r') {
-      // Swallow; handled by the following '\n' if present.
+      if (!at_line_end(r) && buf_[r] != sep_) fail("text after a closing quote in a CSV field");
     } else {
-      field += c;
+      while (!at_line_end(r) && buf_[r] != sep_) {
+        if (buf_[r] == '"') fail("quote in the middle of an unquoted CSV field");
+        buf_[w++] = buf_[r++];
+      }
+    }
+    bounds.push_back(begin);
+    bounds.push_back(w);
+    if (at_line_end(r)) break;
+    ++r;  // the separator
+  }
+  fields.clear();
+  for (std::size_t i = 0; i < bounds.size(); i += 2) {
+    fields.emplace_back(buf_.data() + bounds[i], bounds[i + 1] - bounds[i]);
+  }
+}
+
+void for_each_csv_row(std::istream& in,
+                      const std::function<void(const std::vector<std::string_view>&)>& fn) {
+  CsvReader reader(in);
+  std::vector<std::string_view> row;
+  while (reader.read_row(row)) {
+    if (row.size() == 1 && trim(row[0]).empty()) continue;
+    try {
+      fn(row);
+    } catch (const ParseError& e) {
+      throw ParseError(str_cat("line ", reader.line(), ": ", e.what()));
     }
   }
-  if (in_quotes) throw ParseError("unterminated quoted CSV field");
-  if (!saw_any) return false;
-  fields.push_back(std::move(field));
-  return true;
 }
 
 }  // namespace neat

@@ -1,24 +1,25 @@
 #include "common/string_util.h"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdint>
-#include <iomanip>
 
 #include "common/error.h"
 
 namespace neat {
 
-std::vector<std::string> split(std::string_view s, char sep) {
-  std::vector<std::string> out;
+void split(std::string_view s, char sep, std::vector<std::string_view>& out) {
+  out.clear();
   std::size_t start = 0;
   while (true) {
     const std::size_t pos = s.find(sep, start);
     if (pos == std::string_view::npos) {
-      out.emplace_back(s.substr(start));
-      return out;
+      out.push_back(s.substr(start));
+      return;
     }
-    out.emplace_back(s.substr(start, pos - start));
+    out.push_back(s.substr(start, pos - start));
     start = pos + 1;
   }
 }
@@ -43,6 +44,14 @@ double parse_double(std::string_view s) {
   return value;
 }
 
+double parse_finite(std::string_view s, const char* what) {
+  const double value = parse_double(s);
+  if (!std::isfinite(value)) {
+    throw ParseError(str_cat(what, " must be finite, got '", trim(s), "'"));
+  }
+  return value;
+}
+
 std::int64_t parse_int(std::string_view s) {
   s = trim(s);
   std::int64_t value = 0;
@@ -54,9 +63,13 @@ std::int64_t parse_int(std::string_view s) {
 }
 
 std::string format_fixed(double value, int precision) {
-  std::ostringstream os;
-  os << std::fixed << std::setprecision(precision) << value;
-  return os.str();
+  // Room for a sign, the 309 integer digits of the largest double, the point
+  // and the digits after it (a negative precision means 6, as in printf).
+  std::string out(std::size_t{311} + static_cast<std::size_t>(std::max(precision, 6)), '\0');
+  const std::to_chars_result r = std::to_chars(out.data(), out.data() + out.size(), value,
+                                               std::chars_format::fixed, precision);
+  out.resize(static_cast<std::size_t>(r.ptr - out.data()));
+  return out;
 }
 
 }  // namespace neat

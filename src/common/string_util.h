@@ -16,8 +16,9 @@ template <class... Args>
   return os.str();
 }
 
-/// Splits `s` on `sep`; keeps empty fields ("a,,b" -> {"a", "", "b"}).
-[[nodiscard]] std::vector<std::string> split(std::string_view s, char sep);
+/// Splits `s` on `sep` into views of `s`, replacing the contents of `out`;
+/// keeps empty fields ("a,,b" -> {"a", "", "b"}).
+void split(std::string_view s, char sep, std::vector<std::string_view>& out);
 
 /// Removes leading and trailing ASCII whitespace.
 [[nodiscard]] std::string_view trim(std::string_view s);
@@ -27,6 +28,10 @@ template <class... Args>
 
 /// Parses a double; throws neat::ParseError on malformed input.
 [[nodiscard]] double parse_double(std::string_view s);
+
+/// Parses a finite double; throws neat::ParseError, naming the value `what`,
+/// on malformed input and on nan or inf.
+[[nodiscard]] double parse_finite(std::string_view s, const char* what);
 
 /// Parses a 64-bit integer; throws neat::ParseError on malformed input.
 [[nodiscard]] std::int64_t parse_int(std::string_view s);

@@ -6,6 +6,7 @@
 #include "common/error.h"
 #include "common/string_util.h"
 #include "core/netflow.h"
+#include "roadnet/io.h"
 
 namespace neat {
 
@@ -41,79 +42,69 @@ void save_snapshot(const ClusteringSnapshot& snapshot, const std::string& path) 
   save_snapshot(snapshot, out);
 }
 
+namespace {
+
+/// The element a row's index names: an existing one or the next, the order
+/// save_snapshot writes them in. Memory so grows with the rows read, never
+/// with a number in the file.
+template <class T>
+T& existing_or_next(std::vector<T>& items, std::string_view field, const char* what) {
+  const std::int64_t idx = parse_int(field);
+  if (idx < 0 || idx > static_cast<std::int64_t>(items.size())) {
+    throw ParseError(str_cat(what, " ", idx, " is outside [0, ", items.size(), "]"));
+  }
+  const auto i = static_cast<std::size_t>(idx);
+  if (i == items.size()) items.emplace_back();
+  return items[i];
+}
+
+}  // namespace
+
 ClusteringSnapshot load_snapshot(std::istream& in) {
   ClusteringSnapshot snap;
-  CsvReader reader(in);
-  std::vector<std::string> row;
-  std::size_t line = 0;
-
-  const auto flow_at = [&](std::int64_t idx) -> FlowCluster& {
-    NEAT_EXPECT(idx >= 0, "snapshot: negative flow index");
-    const auto i = static_cast<std::size_t>(idx);
-    if (snap.flows.size() <= i) snap.flows.resize(i + 1);
-    return snap.flows[i];
-  };
-  const auto final_at = [&](std::int64_t idx) -> FinalCluster& {
-    NEAT_EXPECT(idx >= 0, "snapshot: negative final-cluster index");
-    const auto i = static_cast<std::size_t>(idx);
-    if (snap.final_clusters.size() <= i) snap.final_clusters.resize(i + 1);
-    return snap.final_clusters[i];
-  };
-  const auto need = [&](std::size_t n) {
-    if (row.size() != n) {
-      throw ParseError(str_cat("snapshot line ", line, ": expected ", n, " fields, got ",
-                               row.size()));
+  for_each_csv_row(in, [&](const std::vector<std::string_view>& row) {
+    const std::string_view kind = row[0];
+    const auto need = [&row](std::size_t n) {
+      if (row.size() != n) throw ParseError(str_cat("expected ", n, " fields, got ", row.size()));
+    };
+    if (kind == "flow") {
+      need(3);
+      existing_or_next(snap.flows, row[1], "flow index").route_length =
+          parse_finite(row[2], "route length");
+    } else if (kind == "flowroute") {
+      need(4);
+      FlowCluster& f = existing_or_next(snap.flows, row[1], "flow index");
+      existing_or_next(f.route, row[2], "route index") =
+          SegmentId(roadnet::parse_network_id(row[3], "segment id"));
+    } else if (kind == "flowjunction") {
+      need(4);
+      FlowCluster& f = existing_or_next(snap.flows, row[1], "flow index");
+      existing_or_next(f.junctions, row[2], "junction index") =
+          NodeId(roadnet::parse_network_id(row[3], "node id"));
+    } else if (kind == "flowpart") {
+      need(3);
+      existing_or_next(snap.flows, row[1], "flow index")
+          .participants.push_back(TrajectoryId(parse_int(row[2])));
+    } else if (kind == "final") {
+      need(3);
+      existing_or_next(snap.final_clusters, row[1], "final-cluster index").total_route_length =
+          parse_finite(row[2], "total route length");
+    } else if (kind == "finalflow") {
+      need(3);
+      existing_or_next(snap.final_clusters, row[1], "final-cluster index")
+          .flows.push_back(static_cast<std::size_t>(parse_int(row[2])));
+    } else {
+      throw ParseError(str_cat("unknown row kind '", kind, "'"));
     }
-  };
+  });
 
-  try {
-    while (reader.read_row(row)) {
-      ++line;
-      if (row.empty() || (row.size() == 1 && trim(row[0]).empty())) continue;
-      const std::string& kind = row[0];
-      if (kind == "flow") {
-        need(3);
-        flow_at(parse_int(row[1])).route_length = parse_double(row[2]);
-      } else if (kind == "flowroute") {
-        need(4);
-        FlowCluster& f = flow_at(parse_int(row[1]));
-        const auto seq = static_cast<std::size_t>(parse_int(row[2]));
-        if (f.route.size() <= seq) f.route.resize(seq + 1);
-        f.route[seq] = SegmentId(static_cast<std::int32_t>(parse_int(row[3])));
-      } else if (kind == "flowjunction") {
-        need(4);
-        FlowCluster& f = flow_at(parse_int(row[1]));
-        const auto seq = static_cast<std::size_t>(parse_int(row[2]));
-        if (f.junctions.size() <= seq) f.junctions.resize(seq + 1);
-        f.junctions[seq] = NodeId(static_cast<std::int32_t>(parse_int(row[3])));
-      } else if (kind == "flowpart") {
-        need(3);
-        flow_at(parse_int(row[1])).participants.push_back(TrajectoryId(parse_int(row[2])));
-      } else if (kind == "final") {
-        need(3);
-        final_at(parse_int(row[1])).total_route_length = parse_double(row[2]);
-      } else if (kind == "finalflow") {
-        need(3);
-        FinalCluster& fc = final_at(parse_int(row[1]));
-        fc.flows.push_back(static_cast<std::size_t>(parse_int(row[2])));
-      } else {
-        throw ParseError(str_cat("snapshot line ", line, ": unknown row kind '", kind, "'"));
-      }
-    }
-  } catch (const PreconditionError& e) {
-    throw ParseError(str_cat("inconsistent snapshot: ", e.what()));
-  }
-
-  // Structural validation: routes and junction paths must be complete, and
-  // final clusters must reference existing flows.
+  // Structural validation: every flow needs one junction more than route
+  // segments, and final clusters must reference existing flows.
   for (std::size_t f = 0; f < snap.flows.size(); ++f) {
     const FlowCluster& flow = snap.flows[f];
     if (flow.junctions.size() != flow.route.size() + 1) {
       throw ParseError(str_cat("snapshot: flow ", f, " has ", flow.route.size(),
                                " route segments but ", flow.junctions.size(), " junctions"));
-    }
-    for (const SegmentId sid : flow.route) {
-      if (!sid.valid()) throw ParseError(str_cat("snapshot: flow ", f, " has a route hole"));
     }
   }
   for (std::size_t c = 0; c < snap.final_clusters.size(); ++c) {

@@ -12,6 +12,13 @@
 //   final,<idx>,<total_route_length>
 //   finalflow,<idx>,<flow_idx>               (member flows, ascending)
 //
+// Indices are dense and in order: a row's <idx> or <seq> names an existing
+// flow, final cluster or route/junction position, or the next one, as
+// save_snapshot writes them. Segment and node ids lie in [0,
+// roadnet::kMaxNetworkId] and lengths are finite. The loader rejects
+// anything else with a neat::ParseError naming the line, so a file can
+// never make it allocate more than its rows.
+//
 // Base clusters and t-fragments are intentionally not persisted: they are
 // cheap to recompute and bulky to store; the snapshot is the *servable*
 // output.
@@ -38,7 +45,8 @@ void save_snapshot(const ClusteringSnapshot& snapshot, std::ostream& out);
 /// Writes a snapshot to a file; throws neat::Error on failure to open.
 void save_snapshot(const ClusteringSnapshot& snapshot, const std::string& path);
 
-/// Reads a snapshot; throws neat::ParseError on malformed data.
+/// Reads a snapshot; throws neat::ParseError, naming the line, on malformed
+/// data.
 [[nodiscard]] ClusteringSnapshot load_snapshot(std::istream& in);
 
 /// Reads a snapshot from a file; throws neat::Error / neat::ParseError.

@@ -113,8 +113,10 @@ std::vector<NodeId> require_node_list(const HttpRequest& req, const char* key,
     throw RequestError{400, "invalid_parameter",
                        str_cat("parameter '", key, "' must list at least one junction")};
   }
+  std::vector<std::string_view> fields;
+  split(*raw, ',', fields);
   std::vector<NodeId> nodes;
-  for (const std::string& field : split(*raw, ',')) {
+  for (const std::string_view field : fields) {
     const std::string_view token = trim(field);
     std::int64_t v = 0;
     try {

@@ -31,11 +31,7 @@ void save_network(const RoadNetwork& net, const std::string& path) {
   save_network(net, out);
 }
 
-namespace {
-
-/// Parses a node or segment id, rejecting any outside [0, kMaxNetworkId]
-/// before it can size an array.
-std::int32_t parse_id(const std::string& field, const char* what) {
+std::int32_t parse_network_id(std::string_view field, const char* what) {
   const std::int64_t id = parse_int(field);
   if (id < 0 || id > kMaxNetworkId) {
     throw ParseError(str_cat(what, " ", id, " is outside [0, ", kMaxNetworkId, "]"));
@@ -43,48 +39,31 @@ std::int32_t parse_id(const std::string& field, const char* what) {
   return static_cast<std::int32_t>(id);
 }
 
-void parse_row(const std::vector<std::string>& row, std::vector<Node>& nodes,
-               std::vector<Segment>& segments) {
-  const std::string& kind = row[0];
-  if (kind == "node") {
-    if (row.size() != 4) throw ParseError("node row needs 4 fields");
-    const auto id = static_cast<std::size_t>(parse_id(row[1], "node id"));
-    const Node node{{parse_double(row[2]), parse_double(row[3])}};
-    if (nodes.size() <= id) nodes.resize(id + 1);
-    nodes[id] = node;
-  } else if (kind == "segment") {
-    if (row.size() != 7) throw ParseError("segment row needs 7 fields");
-    const auto id = static_cast<std::size_t>(parse_id(row[1], "segment id"));
-    Segment s;
-    s.a = NodeId(parse_id(row[2], "endpoint node id"));
-    s.b = NodeId(parse_id(row[3], "endpoint node id"));
-    s.length = parse_double(row[4]);
-    s.speed_limit = parse_double(row[5]);
-    s.bidirectional = parse_int(row[6]) != 0;
-    if (segments.size() <= id) segments.resize(id + 1);
-    segments[id] = s;
-  } else {
-    throw ParseError(str_cat("unknown row kind '", kind, "'"));
-  }
-}
-
-}  // namespace
-
 RoadNetwork load_network(std::istream& in) {
-  CsvReader reader(in);
-  std::vector<std::string> row;
   std::vector<Node> nodes;
   std::vector<Segment> segments;
-  std::size_t line = 0;
-  while (reader.read_row(row)) {
-    ++line;
-    if (row.empty() || (row.size() == 1 && trim(row[0]).empty())) continue;
-    try {
-      parse_row(row, nodes, segments);
-    } catch (const ParseError& e) {
-      throw ParseError(str_cat("line ", line, ": ", e.what()));
+  for_each_csv_row(in, [&](const std::vector<std::string_view>& row) {
+    if (row[0] == "node") {
+      if (row.size() != 4) throw ParseError("node row needs 4 fields");
+      const auto id = static_cast<std::size_t>(parse_network_id(row[1], "node id"));
+      const Node node{{parse_double(row[2]), parse_double(row[3])}};
+      if (nodes.size() <= id) nodes.resize(id + 1);
+      nodes[id] = node;
+    } else if (row[0] == "segment") {
+      if (row.size() != 7) throw ParseError("segment row needs 7 fields");
+      const auto id = static_cast<std::size_t>(parse_network_id(row[1], "segment id"));
+      Segment s;
+      s.a = NodeId(parse_network_id(row[2], "endpoint node id"));
+      s.b = NodeId(parse_network_id(row[3], "endpoint node id"));
+      s.length = parse_double(row[4]);
+      s.speed_limit = parse_double(row[5]);
+      s.bidirectional = parse_int(row[6]) != 0;
+      if (segments.size() <= id) segments.resize(id + 1);
+      segments[id] = s;
+    } else {
+      throw ParseError(str_cat("unknown row kind '", row[0], "'"));
     }
-  }
+  });
   // Serialization rounds coordinates and lengths independently, so a stored
   // length can undercut the straight-line distance recomputed from rounded
   // coordinates by a hair. Clamp within a strict tolerance; anything larger

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "roadnet/road_network.h"
 
@@ -18,6 +19,12 @@ namespace neat::roadnet {
 /// dense arrays, so the cap bounds what a single row can make the loader
 /// allocate; it is far above any city-scale network.
 inline constexpr std::int64_t kMaxNetworkId = (std::int64_t{1} << 24) - 1;
+
+/// Parses a node or segment id from a CSV field, throwing neat::ParseError
+/// for one outside [0, kMaxNetworkId] before it can size an array or be
+/// truncated; `what` names the id in the message. Network, trajectory and
+/// snapshot files all read their ids through it.
+[[nodiscard]] std::int32_t parse_network_id(std::string_view field, const char* what);
 
 /// Writes the network to a stream in the CSV format above.
 void save_network(const RoadNetwork& net, std::ostream& out);

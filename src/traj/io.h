@@ -23,10 +23,10 @@ void save_dataset(const TrajectoryDataset& data, const std::string& path);
 /// Streams a trajectory CSV, invoking `fn` once per completed trajectory in
 /// file order — the bounded-memory primitive behind load_dataset and the
 /// CSV -> columnar converter (only one trajectory is in flight at a time).
-/// Rows are parsed with std::from_chars and no per-field allocation; rows
-/// containing quoted fields fall back to the RFC-4180 CSV reader. Throws
-/// neat::ParseError, naming the line, on malformed data, including an x, y
-/// or t that is not finite (nan, inf).
+/// Rows come from the one CsvReader as views and are parsed with
+/// std::from_chars, with no per-field allocation. Throws neat::ParseError,
+/// naming the line, on malformed data, including an x, y or t that is not
+/// finite (nan, inf) and a segment id outside [0, roadnet::kMaxNetworkId].
 void for_each_trajectory(std::istream& in, const std::function<void(Trajectory&&)>& fn);
 
 /// Reads a dataset from a stream. Throws neat::ParseError on malformed data.

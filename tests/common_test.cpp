@@ -2,8 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <limits>
 #include <sstream>
+#include <string>
+#include <string_view>
 #include <unordered_set>
+#include <vector>
 
 #include "common/csv.h"
 #include "common/error.h"
@@ -128,9 +133,13 @@ TEST(StringUtil, StrCat) {
 }
 
 TEST(StringUtil, SplitKeepsEmptyFields) {
-  EXPECT_EQ(split("a,,b", ','), (std::vector<std::string>{"a", "", "b"}));
-  EXPECT_EQ(split("", ','), (std::vector<std::string>{""}));
-  EXPECT_EQ(split("x", ','), (std::vector<std::string>{"x"}));
+  std::vector<std::string_view> out{"stale"};
+  split("a,,b", ',', out);
+  EXPECT_EQ(out, (std::vector<std::string_view>{"a", "", "b"}));
+  split("", ',', out);
+  EXPECT_EQ(out, (std::vector<std::string_view>{""}));
+  split("x", ',', out);
+  EXPECT_EQ(out, (std::vector<std::string_view>{"x"}));
 }
 
 TEST(StringUtil, Trim) {
@@ -157,6 +166,25 @@ TEST(StringUtil, ParseInt) {
 TEST(StringUtil, FormatFixed) {
   EXPECT_EQ(format_fixed(3.14159, 2), "3.14");
   EXPECT_EQ(format_fixed(2.0, 0), "2");
+  // printf's %.*f on the exact binary value: signed zero, ties broken on
+  // the value actually stored, huge magnitudes and non-finite values.
+  EXPECT_EQ(format_fixed(-0.0, 3), "-0.000");
+  EXPECT_EQ(format_fixed(0.0005, 3), "0.001");  // stored just above the tie
+  EXPECT_EQ(format_fixed(0.125, 2), "0.12");    // an exact tie rounds to even
+  EXPECT_EQ(format_fixed(2.5, 0), "2");
+  EXPECT_EQ(format_fixed(3.5, 0), "4");
+  EXPECT_EQ(format_fixed(-1.5, 0), "-2");
+  const auto printf_fixed = [](double v, int precision) {
+    std::vector<char> buf(400);
+    std::snprintf(buf.data(), buf.size(), "%.*f", precision, v);
+    return std::string(buf.data());
+  };
+  EXPECT_EQ(format_fixed(1e300, 6), printf_fixed(1e300, 6));
+  EXPECT_EQ(format_fixed(-1e300, 0).size(), 302u);
+  EXPECT_EQ(format_fixed(123.456, 9), "123.456000000");
+  EXPECT_EQ(format_fixed(std::nan(""), 3), "nan");
+  EXPECT_EQ(format_fixed(std::numeric_limits<double>::infinity(), 3), "inf");
+  EXPECT_EQ(format_fixed(-std::numeric_limits<double>::infinity(), 0), "-inf");
 }
 
 // --- csv -----------------------------------------------------------------
@@ -174,41 +202,75 @@ TEST(Csv, WriteReadRoundTrip) {
   writer.write_row({"a", "b,c", "d\"e", ""});
   writer.write_row({"1", "2"});
   CsvReader reader(ss);
-  std::vector<std::string> row;
+  std::vector<std::string_view> row;
   ASSERT_TRUE(reader.read_row(row));
-  EXPECT_EQ(row, (std::vector<std::string>{"a", "b,c", "d\"e", ""}));
+  EXPECT_EQ(row, (std::vector<std::string_view>{"a", "b,c", "d\"e", ""}));
   ASSERT_TRUE(reader.read_row(row));
-  EXPECT_EQ(row, (std::vector<std::string>{"1", "2"}));
+  EXPECT_EQ(row, (std::vector<std::string_view>{"1", "2"}));
   EXPECT_FALSE(reader.read_row(row));
 }
 
 TEST(Csv, ReadsCrLfAndMissingTrailingNewline) {
   std::stringstream ss("a,b\r\nc,d");
   CsvReader reader(ss);
-  std::vector<std::string> row;
+  std::vector<std::string_view> row;
   ASSERT_TRUE(reader.read_row(row));
-  EXPECT_EQ(row, (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(row, (std::vector<std::string_view>{"a", "b"}));
   ASSERT_TRUE(reader.read_row(row));
-  EXPECT_EQ(row, (std::vector<std::string>{"c", "d"}));
+  EXPECT_EQ(row, (std::vector<std::string_view>{"c", "d"}));
   EXPECT_FALSE(reader.read_row(row));
 }
 
 TEST(Csv, QuotedFieldWithNewline) {
   std::stringstream ss("\"a\nb\",c\n");
   CsvReader reader(ss);
-  std::vector<std::string> row;
+  std::vector<std::string_view> row;
   ASSERT_TRUE(reader.read_row(row));
-  EXPECT_EQ(row, (std::vector<std::string>{"a\nb", "c"}));
+  EXPECT_EQ(row, (std::vector<std::string_view>{"a\nb", "c"}));
 }
 
 TEST(Csv, MalformedQuotingThrows) {
   std::stringstream ss("ab\"cd\n");
   CsvReader reader(ss);
-  std::vector<std::string> row;
+  std::vector<std::string_view> row;
   EXPECT_THROW(reader.read_row(row), ParseError);
   std::stringstream ss2("\"unterminated");
   CsvReader reader2(ss2);
   EXPECT_THROW(reader2.read_row(row), ParseError);
+}
+
+TEST(Csv, LineIsWhereTheRowStarts) {
+  // A quoted newline spans two physical lines; the next row starts on line 4.
+  std::stringstream ss("a,b\n\"x\ny\",\"q\"\"\"\r\nc,\"\"\r\n\n");
+  CsvReader reader(ss);
+  std::vector<std::string_view> row;
+  ASSERT_TRUE(reader.read_row(row));
+  EXPECT_EQ(reader.line(), 1u);
+  ASSERT_TRUE(reader.read_row(row));
+  EXPECT_EQ(reader.line(), 2u);
+  EXPECT_EQ(row, (std::vector<std::string_view>{"x\ny", "q\""}));
+  ASSERT_TRUE(reader.read_row(row));
+  EXPECT_EQ(reader.line(), 4u);
+  EXPECT_EQ(row, (std::vector<std::string_view>{"c", ""}));
+  ASSERT_TRUE(reader.read_row(row));
+  EXPECT_EQ(reader.line(), 5u);
+  EXPECT_EQ(row, (std::vector<std::string_view>{""}));
+  EXPECT_FALSE(reader.read_row(row));
+}
+
+TEST(Csv, ForEachRowSkipsBlankRowsAndNamesTheLine) {
+  std::stringstream ss("a,1\n  \r\n\nb,2\nc,x\n");
+  std::vector<std::string> seen;
+  try {
+    for_each_csv_row(ss, [&](const std::vector<std::string_view>& row) {
+      seen.emplace_back(row[0]);
+      static_cast<void>(parse_int(row[1]));
+    });
+    ADD_FAILURE() << "no ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("line 5: ", 0), 0u) << e.what();
+  }
+  EXPECT_EQ(seen, (std::vector<std::string>{"a", "b", "c"}));
 }
 
 // --- rng -------------------------------------------------------------------

@@ -1,6 +1,6 @@
 // Round-trip tests for network and dataset persistence, plus equivalence
-// of the allocation-free fast trajectory parser with a reference parse
-// built on the RFC-4180 CSV reader.
+// of the trajectory loader with an independent reference parse built on a
+// char-by-char RFC-4180 reader.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "common/csv.h"
 #include "common/error.h"
 #include "common/string_util.h"
 #include "roadnet/generators.h"
@@ -19,15 +18,55 @@
 namespace neat {
 namespace {
 
-/// Reference trajectory parser: the full CsvReader on every row, no fast
-/// path. The production loader must produce exactly this.
+/// Reference CSV row reader, one char at a time: quoted fields may hold the
+/// separator, doubled quotes and newlines; a '\r' outside quotes is dropped.
+/// Reads the next row into `fields`; returns false at end of input.
+bool reference_read_row(std::istream& in, std::vector<std::string>& fields) {
+  fields.clear();
+  std::string field;
+  bool in_quotes = false;
+  bool saw_any = false;
+  char c = 0;
+  while (in.get(c)) {
+    saw_any = true;
+    if (in_quotes) {
+      if (c == '"') {
+        if (in.peek() == '"') {
+          in.get(c);
+          field += '"';
+        } else {
+          in_quotes = false;
+        }
+      } else {
+        field += c;
+      }
+    } else if (c == '"') {
+      if (!field.empty()) throw ParseError("quote in the middle of an unquoted CSV field");
+      in_quotes = true;
+    } else if (c == ',') {
+      fields.push_back(std::move(field));
+      field.clear();
+    } else if (c == '\n') {
+      fields.push_back(std::move(field));
+      return true;
+    } else if (c != '\r') {
+      field += c;
+    }
+  }
+  if (in_quotes) throw ParseError("unterminated quoted CSV field");
+  if (!saw_any) return false;
+  fields.push_back(std::move(field));
+  return true;
+}
+
+/// Reference trajectory parser on reference_read_row. The production loader
+/// must produce exactly this.
 traj::TrajectoryDataset reference_load_dataset(std::istream& in) {
   traj::TrajectoryDataset data;
-  CsvReader reader(in);
   std::vector<std::string> row;
   traj::Trajectory current;
   bool has_current = false;
-  while (reader.read_row(row)) {
+  while (reference_read_row(in, row)) {
     if (row.size() == 1 && trim(row[0]).empty()) continue;
     if (row.size() != 7) throw ParseError("location row needs 7 fields");
     const auto trid = TrajectoryId(parse_int(row[0]));
@@ -150,7 +189,7 @@ TEST(DatasetIo, FastParserMatchesReferenceOnGoldenFixture) {
 
 TEST(DatasetIo, FastParserMatchesReferenceOnAwkwardCsv) {
   // CRLF line endings, blank lines, surrounding whitespace in numeric
-  // fields, and a quoted field (which forces the RFC-4180 fallback path).
+  // fields, and quoted fields (which take the reader's RFC-4180 path).
   const std::string csv =
       "1,0,0,1.5,2.5,0.0,0\r\n"
       "\r\n"
@@ -204,6 +243,22 @@ TEST(DatasetIo, RejectsNonFiniteValuesWithTheLine) {
     EXPECT_NE(qmsg.find("finite"), std::string::npos) << quoted << qmsg;
   }
   EXPECT_EQ(dataset_parse_error(head), "");
+}
+
+TEST(DatasetIo, RejectsOutOfRangeSegmentIdsWithTheLine) {
+  // A segment id is bounded like a network id: 4294967357 must not wrap to
+  // segment 61, and a negative id is not a segment either.
+  const std::string head = "1,0,61,1.5,2.5,0.0,0\n";
+  for (const std::string sid : {"4294967357", "-1", "16777216", "100000000000"}) {
+    const std::string row = "1,1," + sid + ",1.5,3.5,1.0,0\n";
+    const std::string quoted = "1,1,\"" + sid + "\",1.5,3.5,1.0,0\n";
+    for (const std::string& csv : {head + row, head + quoted}) {
+      const std::string msg = dataset_parse_error(csv);
+      EXPECT_EQ(msg.rfind("line 2: ", 0), 0u) << csv << msg;
+      EXPECT_NE(msg.find("is outside [0, 16777215]"), std::string::npos) << csv << msg;
+    }
+  }
+  EXPECT_EQ(dataset_parse_error(head + "1,1,16777215,1.5,3.5,1.0,0\n"), "");
 }
 
 TEST(DatasetIo, EmptyStreamGivesEmptyDataset) {

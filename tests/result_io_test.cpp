@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/error.h"
 #include "core/clusterer.h"
@@ -76,6 +79,30 @@ TEST(Snapshot, RejectsMalformedInput) {
   {
     std::stringstream ss("flow,-3,100\n");
     EXPECT_THROW(load_snapshot(ss), ParseError);
+  }
+  // Indices must name an existing element or the next one, ids must be
+  // network ids and lengths finite; each violation names its line. A
+  // negative sequence once wrote out of bounds, and huge indices reached an
+  // allocation that threw std::bad_alloc.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"flow,0,1.0\nflowroute,0,-1,5\n", "line 2: route index -1 is outside [0, 0]"},
+      {"flow,100000000000,1.0\n", "line 1: flow index 100000000000 is outside [0, 0]"},
+      {"flow,0,1.0\nflowroute,0,100000000000,5\n", "line 2: route index 100000000000"},
+      {"flow,0,1.0\nflowroute,0,0,4294967301\n", "line 2: segment id 4294967301 is outside"},
+      {"flow,0,1.0\nflowjunction,0,0,-2\n", "line 2: node id -2 is outside"},
+      {"flow,0,nan\n", "line 1: route length must be finite"},
+      {"final,0,inf\n", "line 1: total route length must be finite"},
+      {"flow,0,1.0\nflowpart,1,7\nflowpart,3,8\n", "line 3: flow index 3 is outside [0, 2]"},
+      {"\nfinal,1,1.0\n", "line 2: final-cluster index 1 is outside [0, 0]"},
+  };
+  for (const auto& [csv, expected] : cases) {
+    std::stringstream ss(csv);
+    try {
+      static_cast<void>(load_snapshot(ss));
+      ADD_FAILURE() << "no ParseError for " << csv;
+    } catch (const ParseError& e) {
+      EXPECT_EQ(std::string(e.what()).rfind(expected, 0), 0u) << csv << " -> " << e.what();
+    }
   }
 }
 

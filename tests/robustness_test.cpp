@@ -3,9 +3,13 @@
 // clustering inputs, and failure-injection on persistence layers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <functional>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/csv.h"
 #include "common/error.h"
@@ -14,6 +18,7 @@
 #include "core/flow_builder.h"
 #include "core/fragmenter.h"
 #include "core/refiner.h"
+#include "core/result_io.h"
 #include "roadnet/builder.h"
 #include "roadnet/generators.h"
 #include "roadnet/io.h"
@@ -49,23 +54,19 @@ TEST_P(CsvFuzz, ArbitraryFieldsRoundTrip) {
     // A row whose single field is empty is indistinguishable from a blank
     // line; avoid that ambiguity the same way real emitters do.
     if (row.size() == 1 && row[0].empty()) row[0] = "x";
-    // Bare carriage returns are line terminators in CSV; writers must not
-    // emit them unquoted inside fields, and ours quotes them — but a field
-    // ending in '\r' directly before the row's '\n' is inherently ambiguous
-    // with a CRLF line end, so strip that single case.
     rows.push_back(std::move(row));
   }
   std::stringstream ss;
   CsvWriter writer(ss);
   for (const auto& row : rows) writer.write_row(row);
   CsvReader reader(ss);
-  std::vector<std::string> row;
+  std::vector<std::string_view> row;
   for (std::size_t r = 0; r < rows.size(); ++r) {
     ASSERT_TRUE(reader.read_row(row)) << "row " << r << " missing";
     ASSERT_EQ(row.size(), rows[r].size()) << "row " << r;
     for (std::size_t f = 0; f < row.size(); ++f) {
-      // '\r' inside unquoted content is normalized away by the reader; our
-      // writer quotes fields containing it, so content survives exactly.
+      // A '\r' ending a line is a line terminator; our writer quotes
+      // fields containing '\r', so content survives exactly.
       EXPECT_EQ(row[f], rows[r][f]) << "row " << r << " field " << f;
     }
   }
@@ -122,6 +123,100 @@ TEST(NetworkCsvIds, NegativeAndHugeIdsAreTypedErrors) {
   EXPECT_EQ(roadnet::kMaxNetworkId, 16777215);
   EXPECT_EQ(golden_network_with(""), "");
 }
+
+// --- loader mutation fuzz ----------------------------------------------------
+
+std::string read_fixture(const std::string& name, std::size_t max_lines) {
+  std::ifstream in(std::string(NEAT_TEST_DATA_DIR) + "/" + name);
+  std::string text;
+  std::string line;
+  for (std::size_t n = 0; n < max_lines && std::getline(in, line); ++n) text += line + "\n";
+  return text;
+}
+
+// Start offsets of the lines of `text`.
+std::vector<std::size_t> line_starts(const std::string& text) {
+  std::vector<std::size_t> starts{0};
+  for (std::size_t i = 0; i + 1 < text.size(); ++i) {
+    if (text[i] == '\n') starts.push_back(i + 1);
+  }
+  return starts;
+}
+
+// Applies one seeded mutation: a bit flip, a truncation, a row copied to
+// another line start, or a token that has broken a loader before, either
+// replacing a field or inserted anywhere.
+void mutate(std::string& text, Rng& rng) {
+  static const std::vector<std::string> tokens = {
+      "-1", "4294967297", "100000000000", "nan", "inf", "1e400", "\"", "\r", ",,"};
+  if (text.empty()) return;
+  switch (rng.uniform_int(0, 4)) {
+    case 0:
+      text[rng.index(text.size())] ^= static_cast<char>(1 << rng.uniform_int(0, 7));
+      break;
+    case 1:
+      text.resize(rng.index(text.size()));
+      break;
+    case 2: {
+      const std::vector<std::size_t> starts = line_starts(text);
+      const std::size_t from = rng.index(starts.size());
+      const std::size_t end = text.find('\n', starts[from]);
+      const std::string row =
+          text.substr(starts[from], end == std::string::npos ? std::string::npos
+                                                             : end + 1 - starts[from]);
+      text.insert(starts[rng.index(starts.size())], row);
+      break;
+    }
+    case 3: {
+      const std::size_t at = rng.index(text.size());
+      const std::size_t begin = text.find_last_of(",\n", at) + 1;  // npos + 1 == 0
+      const std::size_t end = std::min(text.find_first_of(",\n", at), text.size());
+      text.replace(begin, end > begin ? end - begin : 0, tokens[rng.index(tokens.size())]);
+      break;
+    }
+    default:
+      text.insert(rng.index(text.size() + 1), tokens[rng.index(tokens.size())]);
+  }
+}
+
+class LoaderFuzz : public ::testing::TestWithParam<int> {};
+
+TEST_P(LoaderFuzz, MutatedGoldenFilesLoadOrThrowTypedErrors) {
+  // The golden inputs, trajectories cut to a prefix to keep the budget small.
+  struct Target {
+    const char* file;
+    std::size_t max_lines;
+    std::function<void(std::istream&)> load;
+  };
+  const std::vector<Target> targets = {
+      {"golden_trajectories.csv", 600,
+       [](std::istream& in) { static_cast<void>(traj::load_dataset(in)); }},
+      {"golden_network.csv", 2000,
+       [](std::istream& in) { static_cast<void>(roadnet::load_network(in)); }},
+      {"golden_result.csv", 2000, [](std::istream& in) { static_cast<void>(load_snapshot(in)); }},
+  };
+  Rng rng(static_cast<std::uint64_t>(GetParam()) + 9000);
+  for (const Target& target : targets) {
+    const std::string golden = read_fixture(target.file, target.max_lines);
+    ASSERT_FALSE(golden.empty()) << target.file;
+    for (int mutant = 0; mutant < 16; ++mutant) {
+      std::string text = golden;
+      const auto mutations = rng.uniform_int(1, 3);
+      for (std::int64_t m = 0; m < mutations; ++m) mutate(text, rng);
+      std::istringstream in(text);
+      try {
+        target.load(in);
+      } catch (const Error&) {
+        // A typed error is the expected outcome for most mutants.
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << target.file << " mutant " << mutant
+                      << " threw a non-neat exception: " << e.what();
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LoaderFuzz, ::testing::Range(0, 16));
 
 // --- geometry property -------------------------------------------------------
 
